@@ -50,12 +50,16 @@ impl SatCache {
         self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Drop every interned conjunction for which `keep` returns false.  Engine-side
+    /// Drop the given conjunctions (those not interned are ignored).  Engine-side
     /// cache hygiene: when a database version is retired after a delta, the
     /// conditions it no longer shares with the live version are purged so week-long
-    /// sessions do not accumulate dead entries.
-    pub fn retain(&self, mut keep: impl FnMut(&Conjunction) -> bool) {
-        self.lock_map().retain(|cond, _| keep(cond));
+    /// sessions do not accumulate dead entries — one lookup per purged conjunction,
+    /// never a sweep of the whole cache.
+    pub fn forget<'a>(&self, dead: impl IntoIterator<Item = &'a Conjunction>) {
+        let mut map = self.lock_map();
+        for cond in dead {
+            map.remove(cond);
+        }
     }
 
     /// Memoized satisfiability: equivalent to [`Conjunction::is_satisfiable`], but each

@@ -3,7 +3,7 @@
 use crate::table::{CTable, CTuple, TableClass};
 use pw_condition::{Atom, Conjunction, Term, Variable};
 use pw_relational::{Constant, RelId, Sym, Symbols};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -42,41 +42,68 @@ struct ShardState {
 /// represent independent sets of worlds: `rep(db)` is the product of the groups'
 /// representations, which is what lets a decision fan out per group and merge.
 #[derive(Clone, Debug)]
-pub struct ShardGroup {
+pub struct ShardGroup(Arc<GroupParts>);
+
+/// The parts of a [`ShardGroup`], behind one `Arc`: carrying a group across a delta
+/// is a single refcount bump.
+#[derive(Debug)]
+struct GroupParts {
     /// Positions of the member tables in the owning database's table order (ascending).
-    members: Arc<[usize]>,
+    members: Box<[usize]>,
     /// The projected sub-database: exactly the member tables, in table order, sharing the
     /// owning database's [`Symbols`] handle (ids stay valid — nothing is re-interned).
     db: CDatabase,
     /// The variables mentioned by the member tables — cached so the delta path can test
     /// "does this changed shard touch the group?" without re-walking the group's rows.
-    vars: Arc<BTreeSet<Variable>>,
+    vars: BTreeSet<Variable>,
 }
 
 impl ShardGroup {
     /// Positions of the member tables in the owning database's table order.
     pub fn members(&self) -> &[usize] {
-        &self.members
+        &self.0.members
     }
 
     /// The projected sub-database (same `Symbols` handle as the owner).
     pub fn database(&self) -> &CDatabase {
-        &self.db
+        &self.0.db
     }
 
     /// The variables mentioned by the member tables (rows and conditions).
     pub fn variables(&self) -> &BTreeSet<Variable> {
-        &self.vars
+        &self.0.vars
     }
 }
 
-/// The cached coupling graph: the groups plus the inverse map from table position to
-/// group index.
+/// The cached coupling graph: the groups plus the inverse maps from table position and
+/// from variable to group.
 #[derive(Debug)]
 struct CouplingGraph {
     groups: Box<[ShardGroup]>,
     /// `group_of[table position] == index into groups`.
     group_of: Box<[usize]>,
+    /// Variable → smallest member position of the group mentioning it (groups are
+    /// variable-disjoint, so the owner is unique).  Lets the delta path find the groups
+    /// a changed shard's variables couple into without visiting every group.
+    owner: HashMap<Variable, usize>,
+}
+
+impl CouplingGraph {
+    /// Index `groups` (ordered by smallest member) over `tables` positions.
+    fn new(groups: Vec<ShardGroup>, tables: usize, owner: HashMap<Variable, usize>) -> Self {
+        let mut group_of = vec![usize::MAX; tables];
+        for (g, group) in groups.iter().enumerate() {
+            for &m in group.members() {
+                group_of[m] = g;
+            }
+        }
+        debug_assert!(group_of.iter().all(|&g| g != usize::MAX));
+        CouplingGraph {
+            groups: groups.into(),
+            group_of: group_of.into(),
+            owner,
+        }
+    }
 }
 
 /// An incomplete-information database: a vector of named c-tables.
@@ -429,18 +456,11 @@ impl CDatabase {
     /// touch a changed shard, carrying every other group over from the previous graph.
     fn build_coupling(&self, scope: impl IntoIterator<Item = usize>) -> CouplingGraph {
         let groups = self.build_groups(scope);
-        let n = self.tables.len();
-        let mut group_of = vec![usize::MAX; n];
-        for (g, group) in groups.iter().enumerate() {
-            for &m in group.members() {
-                group_of[m] = g;
-            }
+        let mut owner = HashMap::new();
+        for group in &groups {
+            owner.extend(group.variables().iter().map(|&v| (v, group.members()[0])));
         }
-        debug_assert!(group_of.iter().all(|&g| g != usize::MAX));
-        CouplingGraph {
-            groups: groups.into(),
-            group_of: group_of.into(),
-        }
+        CouplingGraph::new(groups, self.tables.len(), owner)
     }
 
     /// Union–find over the positions of `scope`, returning the [`ShardGroup`]s ordered by
@@ -463,8 +483,7 @@ impl CDatabase {
             .iter()
             .map(|&i| (i, self.tables[i].variables()))
             .collect();
-        let mut owner: std::collections::HashMap<Variable, usize> =
-            std::collections::HashMap::new();
+        let mut owner: HashMap<Variable, usize> = HashMap::new();
         for (i, vars) in &vars_of {
             for &v in vars {
                 match owner.entry(v) {
@@ -481,8 +500,7 @@ impl CDatabase {
         }
         let mut member_lists: Vec<Vec<usize>> = Vec::new();
         let mut var_lists: Vec<BTreeSet<Variable>> = Vec::new();
-        let mut root_to_group: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
+        let mut root_to_group: HashMap<usize, usize> = HashMap::new();
         for (i, vars) in vars_of {
             let root = find(&mut parent, i);
             let g = *root_to_group.entry(root).or_insert_with(|| {
@@ -505,11 +523,11 @@ impl CDatabase {
                 } else {
                     members.iter().map(|&i| self.tables[i].clone()).collect()
                 };
-                ShardGroup {
+                ShardGroup(Arc::new(GroupParts {
                     db: CDatabase::build(tables, Arc::clone(&self.symbols)),
                     members: members.into(),
-                    vars: Arc::new(vars),
-                }
+                    vars,
+                }))
             })
             .collect()
     }
@@ -550,16 +568,16 @@ impl CDatabase {
     ///   so its projected sub-database keeps its cache identity (fingerprint, base
     ///   stores, decision memo) across the delta.
     ///
-    /// Returns the new database and the indices (in the *new* graph) of the rebuilt
-    /// groups.
+    /// Returns the new database, the indices (in the *new* graph) of the rebuilt groups,
+    /// and the indices (in the *old* graph) of the groups they replaced.
     pub(crate) fn apply_tables(
         &self,
         new_tables: Vec<CTable>,
         changed: &[usize],
-    ) -> (CDatabase, Vec<usize>) {
+    ) -> (CDatabase, Vec<usize>, Vec<usize>) {
         debug_assert_eq!(new_tables.len(), self.tables.len());
         if changed.is_empty() {
-            return (self.clone(), Vec::new());
+            return (self.clone(), Vec::new(), Vec::new());
         }
         let old_graph = self.coupling();
         let state = ShardState::default();
@@ -585,34 +603,37 @@ impl CDatabase {
 
         // Coupling graph: a group is dirty when a changed shard is a member or when a
         // changed shard's *new* variables are owned by the group (insertion can couple).
-        let changed_set: BTreeSet<usize> = changed.iter().copied().collect();
-        let changed_vars: BTreeSet<Variable> = changed
+        let mut dirty_old: BTreeSet<usize> = BTreeSet::new();
+        for &p in changed {
+            dirty_old.insert(old_graph.group_of[p]);
+            for v in next.tables[p].variables() {
+                if let Some(&q) = old_graph.owner.get(&v) {
+                    dirty_old.insert(old_graph.group_of[q]);
+                }
+            }
+        }
+        let dirty_old: Vec<usize> = dirty_old.into_iter().collect();
+        let affected: Vec<usize> = dirty_old
             .iter()
-            .flat_map(|&p| next.tables[p].variables())
-            .collect();
-        let dirty_old: Vec<bool> = old_graph
-            .groups
-            .iter()
-            .map(|group| {
-                group.members().iter().any(|m| changed_set.contains(m))
-                    || changed_vars.iter().any(|v| group.vars.contains(v))
-            })
-            .collect();
-        let affected: Vec<usize> = old_graph
-            .groups
-            .iter()
-            .zip(&dirty_old)
-            .filter(|(_, &d)| d)
-            .flat_map(|(g, _)| g.members().iter().copied())
+            .flat_map(|&g| old_graph.groups[g].members().iter().copied())
             .collect();
         let rebuilt = next.build_groups(affected);
+        let mut owner = old_graph.owner.clone();
+        for &g in &dirty_old {
+            for v in old_graph.groups[g].variables() {
+                owner.remove(v);
+            }
+        }
+        for group in &rebuilt {
+            owner.extend(group.variables().iter().map(|&v| (v, group.members()[0])));
+        }
         let rebuilt_keys: BTreeSet<usize> = rebuilt.iter().map(|g| g.members()[0]).collect();
         let mut groups: Vec<ShardGroup> = old_graph
             .groups
             .iter()
-            .zip(&dirty_old)
-            .filter(|(_, &d)| !d)
-            .map(|(g, _)| g.clone())
+            .enumerate()
+            .filter(|(g, _)| dirty_old.binary_search(g).is_err())
+            .map(|(_, group)| group.clone())
             .chain(rebuilt)
             .collect();
         groups.sort_by_key(|g| g.members()[0]);
@@ -622,18 +643,12 @@ impl CDatabase {
             .filter(|(_, g)| rebuilt_keys.contains(&g.members()[0]))
             .map(|(i, _)| i)
             .collect();
-        let mut group_of = vec![usize::MAX; next.tables.len()];
-        for (g, group) in groups.iter().enumerate() {
-            for &m in group.members() {
-                group_of[m] = g;
-            }
-        }
-        debug_assert!(group_of.iter().all(|&g| g != usize::MAX));
-        let _ = next.state.coupling.set(CouplingGraph {
-            groups: groups.into(),
-            group_of: group_of.into(),
-        });
-        (next, dirty_new)
+        let n = next.tables.len();
+        let _ = next
+            .state
+            .coupling
+            .set(CouplingGraph::new(groups, n, owner));
+        (next, dirty_new, dirty_old)
     }
 }
 

@@ -181,6 +181,11 @@ pub struct DbDelta {
     /// Indices, in the new database's coupling graph, of the groups that were rebuilt.
     /// A merge of previously independent groups shows up as one dirty group here.
     pub dirty_groups: Vec<usize>,
+    /// Indices, in the **old** database's coupling graph, of the groups the delta
+    /// dissolved: every old group a changed shard belonged to or coupled into.  The
+    /// other old groups are carried into the new graph by refcount, so these are the
+    /// only groups whose cache entries a delta can orphan — the cache-retirement list.
+    pub dirty_old: Vec<usize>,
     /// Group count before the delta.
     pub groups_before: usize,
     /// Group count after the delta.
@@ -217,7 +222,8 @@ impl CDatabase {
             per_table.entry(pos).or_default().push(op);
         }
 
-        // Rebuild exactly the touched tables, validating as we go.
+        // Rebuild exactly the touched tables, validating as we go.  Cloning the table
+        // vector bumps refcounts only: untouched tables keep sharing their rows.
         let mut new_tables: Vec<CTable> = self.tables().to_vec();
         let mut changed: Vec<usize> = Vec::new();
         for (&pos, ops) in &per_table {
@@ -260,13 +266,7 @@ impl CDatabase {
                     }
                 }
             }
-            let rebuilt = CTable::new(
-                old.name(),
-                old.arity(),
-                old.global_condition().clone(),
-                rows,
-            )
-            .map_err(DeltaError::Table)?;
+            let rebuilt = old.with_rows(rows);
             if rebuilt != *old {
                 new_tables[pos] = rebuilt;
                 changed.push(pos);
@@ -274,13 +274,14 @@ impl CDatabase {
         }
 
         let groups_before = self.shard_groups().len();
-        let (next, dirty_groups) = self.apply_tables(new_tables, &changed);
+        let (next, dirty_groups, dirty_old) = self.apply_tables(new_tables, &changed);
         let groups_after = next.shard_groups().len();
         Ok((
             next,
             DbDelta {
                 changed_tables: changed,
                 dirty_groups,
+                dirty_old,
                 groups_before,
                 groups_after,
             },
@@ -371,6 +372,7 @@ mod tests {
         let (next, change) = db.apply(&delta).unwrap();
         assert_eq!(change.changed_tables, vec![0]);
         assert_eq!(change.dirty_groups, vec![0]);
+        assert_eq!(change.dirty_old, vec![0]);
         assert_eq!((change.groups_before, change.groups_after), (3, 3));
         let after = next.shard_groups();
         // Groups 1 and 2 (S, V) are the same allocation as before the delta.
@@ -406,6 +408,7 @@ mod tests {
         let (merged, change) = db.apply(&merge).unwrap();
         assert_eq!(merged.shard_groups().len(), 1);
         assert_eq!(change.dirty_groups, vec![0]);
+        assert_eq!(change.dirty_old, vec![0, 1], "both old groups dissolve");
         assert_eq!((change.groups_before, change.groups_after), (2, 1));
         // Retracting that row splits them again; the incremental graph agrees with a
         // fresh build.
@@ -413,6 +416,7 @@ mod tests {
         let (split_db, change) = merged.apply(&split).unwrap();
         assert_eq!(split_db.shard_groups().len(), 2);
         assert_eq!(change.dirty_groups, vec![0, 1]);
+        assert_eq!(change.dirty_old, vec![0]);
         let fresh = CDatabase::new(split_db.tables().iter().cloned());
         assert_eq!(fresh.shard_group_index(), split_db.shard_group_index());
     }

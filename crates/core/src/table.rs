@@ -10,6 +10,7 @@ use pw_condition::{Atom, Conjunction, Term, Variable};
 use pw_relational::Constant;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised when constructing tables.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -167,8 +168,15 @@ impl fmt::Display for CTuple {
 /// Every level of the paper's hierarchy is a `CTable`; use [`CTable::classify`] to find the
 /// tightest class, or the restricted constructors ([`CTable::codd`], [`CTable::e_table`],
 /// [`CTable::i_table`], [`CTable::g_table`]) to enforce a level at construction time.
+///
+/// The parts sit behind one `Arc`, so cloning a table is a single refcount bump: a delta
+/// ([`crate::CDatabase::apply`]) copies the table vector and rebuilds only the tables it
+/// touches, and every untouched table keeps sharing its rows.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct CTable {
+pub struct CTable(Arc<TableParts>);
+
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct TableParts {
     name: String,
     arity: usize,
     global: Conjunction,
@@ -192,12 +200,12 @@ impl CTable {
                 });
             }
         }
-        Ok(CTable {
+        Ok(CTable(Arc::new(TableParts {
             name: name.into(),
             arity,
             global,
             tuples,
-        })
+        })))
     }
 
     /// Build a Codd-table: rows of constants and variables, no repeated variable, no
@@ -252,7 +260,7 @@ impl CTable {
         }
         let table = CTable::new(name, arity, global, rows.into_iter().map(CTuple::of_terms))?;
         let mut seen: BTreeSet<Variable> = BTreeSet::new();
-        for row in &table.tuples {
+        for row in &table.0.tuples {
             for v in row.term_variables() {
                 if !seen.insert(v) {
                     return Err(TableError::NotInClass {
@@ -278,38 +286,38 @@ impl CTable {
 
     /// The table's relation name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// The table's arity.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.0.arity
     }
 
     /// The global condition φ_T.
     pub fn global_condition(&self) -> &Conjunction {
-        &self.global
+        &self.0.global
     }
 
     /// The rows.
     pub fn tuples(&self) -> &[CTuple] {
-        &self.tuples
+        &self.0.tuples
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.0.tuples.len()
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.0.tuples.is_empty()
     }
 
     /// All variables of the table: in rows, local conditions, and the global condition.
     pub fn variables(&self) -> BTreeSet<Variable> {
-        let mut out: BTreeSet<Variable> = self.global.variables();
-        for t in &self.tuples {
+        let mut out: BTreeSet<Variable> = self.0.global.variables();
+        for t in &self.0.tuples {
             out.extend(t.variables());
         }
         out
@@ -317,8 +325,8 @@ impl CTable {
 
     /// All interned constants of the table: rows, local conditions, global condition.
     pub fn syms(&self) -> BTreeSet<pw_relational::Sym> {
-        let mut out: BTreeSet<pw_relational::Sym> = self.global.syms();
-        for t in &self.tuples {
+        let mut out: BTreeSet<pw_relational::Sym> = self.0.global.syms();
+        for t in &self.0.tuples {
             out.extend(t.syms());
         }
         out
@@ -334,14 +342,14 @@ impl CTable {
 
     /// Whether any local condition is non-trivial.
     pub fn has_local_conditions(&self) -> bool {
-        self.tuples.iter().any(|t| !t.has_trivial_condition())
+        self.0.tuples.iter().any(|t| !t.has_trivial_condition())
     }
 
     /// Whether some variable occurs more than once across the *table part* (rows), i.e.
     /// whether equalities have been folded into the table.
     pub fn has_repeated_variables(&self) -> bool {
         let mut seen: BTreeSet<Variable> = BTreeSet::new();
-        for t in &self.tuples {
+        for t in &self.0.tuples {
             for v in t.term_variables() {
                 if !seen.insert(v) {
                     return true;
@@ -357,17 +365,17 @@ impl CTable {
             return TableClass::CTable;
         }
         let repeated = self.has_repeated_variables();
-        if self.global.is_empty() {
+        if self.0.global.is_empty() {
             return if repeated {
                 TableClass::ETable
             } else {
                 TableClass::Codd
             };
         }
-        if self.global.is_inequalities_only() && !repeated {
+        if self.0.global.is_inequalities_only() && !repeated {
             return TableClass::ITable;
         }
-        if self.global.is_equalities_only() && !repeated {
+        if self.0.global.is_equalities_only() && !repeated {
             // A pure-equality global condition is an e-table with the equalities not yet
             // folded in; fold-ability is a normalisation concern, the class is ETable only
             // when the equalities involve table variables.  We keep it simple and report
@@ -384,11 +392,11 @@ impl CTable {
     /// hierarchy (g-table → i-/e-table).  Returns `None` if the global condition is
     /// unsatisfiable (the represented set is empty).
     pub fn normalize_equalities(&self) -> Option<CTable> {
-        if !self.global.is_satisfiable() {
+        if !self.0.global.is_satisfiable() {
             return None;
         }
         // Propagate var = const bindings (ids only — no constant is resolved here).
-        let forced = self.global.forced_constants()?;
+        let forced = self.0.global.forced_constants()?;
         let forced_map: BTreeMap<Variable, pw_relational::Sym> = forced.into_iter().collect();
         // Unify var = var chains onto a representative (the smallest variable).
         let mut parent: BTreeMap<Variable, Variable> = BTreeMap::new();
@@ -402,7 +410,7 @@ impl CTable {
                 root
             }
         }
-        for atom in self.global.atoms() {
+        for atom in self.0.global.atoms() {
             if let Atom::Eq(Term::Var(a), Term::Var(b)) = atom {
                 let ra = find(&mut parent, *a);
                 let rb = find(&mut parent, *b);
@@ -441,13 +449,14 @@ impl CTable {
         };
         // Keep only the global atoms that are not now trivially true.
         let remaining_global = Conjunction::new(
-            rewrite_conj(&self.global)
+            rewrite_conj(&self.0.global)
                 .atoms()
                 .iter()
                 .filter(|a| a.trivial_value() != Some(true))
                 .copied(),
         );
         let tuples = self
+            .0
             .tuples
             .iter()
             .map(|t| CTuple {
@@ -455,20 +464,32 @@ impl CTable {
                 condition: rewrite_conj(&t.condition),
             })
             .collect::<Vec<_>>();
-        Some(CTable {
-            name: self.name.clone(),
-            arity: self.arity,
+        Some(CTable(Arc::new(TableParts {
+            name: self.0.name.clone(),
+            arity: self.0.arity,
             global: remaining_global,
             tuples,
-        })
+        })))
+    }
+
+    /// The same table with its rows replaced — the delta path's rebuild.  The caller
+    /// guarantees every row has the table's arity.
+    pub(crate) fn with_rows(&self, rows: Vec<CTuple>) -> CTable {
+        debug_assert!(rows.iter().all(|row| row.arity() == self.0.arity));
+        CTable(Arc::new(TableParts {
+            name: self.0.name.clone(),
+            arity: self.0.arity,
+            global: self.0.global.clone(),
+            tuples: rows,
+        }))
     }
 
     /// Rename the table (keeps everything else).
     pub fn renamed(&self, name: impl Into<String>) -> CTable {
-        CTable {
+        CTable(Arc::new(TableParts {
             name: name.into(),
-            ..self.clone()
-        }
+            ..(*self.0).clone()
+        }))
     }
 
     /// Syntactic equality *up to a renaming of variables* (alpha-equivalence).
@@ -484,17 +505,17 @@ impl CTable {
     /// The check is purely syntactic: it does not decide whether two tables represent the
     /// same set of worlds (that question is a containment both ways).
     pub fn alpha_equivalent(&self, other: &CTable) -> bool {
-        if self.name != other.name
-            || self.arity != other.arity
-            || self.tuples.len() != other.tuples.len()
+        if self.0.name != other.0.name
+            || self.0.arity != other.0.arity
+            || self.0.tuples.len() != other.0.tuples.len()
         {
             return false;
         }
         let mut renaming = VariableBijection::default();
-        if !conjunctions_match(&self.global, &other.global, &mut renaming) {
+        if !conjunctions_match(&self.0.global, &other.0.global, &mut renaming) {
             return false;
         }
-        for (a, b) in self.tuples.iter().zip(&other.tuples) {
+        for (a, b) in self.0.tuples.iter().zip(&other.0.tuples) {
             if a.terms.len() != b.terms.len() {
                 return false;
             }
@@ -560,12 +581,12 @@ fn conjunctions_match(a: &Conjunction, b: &Conjunction, renaming: &mut VariableB
 
 impl fmt::Display for CTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} [{}]", self.name, self.classify())?;
-        if !self.global.is_empty() {
-            write!(f, "  ⟨{}⟩", self.global)?;
+        write!(f, "{} [{}]", self.0.name, self.classify())?;
+        if !self.0.global.is_empty() {
+            write!(f, "  ⟨{}⟩", self.0.global)?;
         }
         writeln!(f)?;
-        for t in &self.tuples {
+        for t in &self.0.tuples {
             writeln!(f, "  {t}")?;
         }
         Ok(())

@@ -202,11 +202,12 @@ pub struct StandingUpdate {
 
 /// Which shard groups can change a standing request's verdict.
 ///
-/// The subscription index maps a [`DbDelta`]'s dirty groups to the standing requests
-/// that must be re-decided.  For an identity view, possibility and certainty decompose
-/// per shard group over the relations their facts mention — `POSS` holds iff every
-/// group covers its slice of the facts, `CERT` iff every group certainly does — so a
-/// delta whose dirty groups don't own any mentioned relation cannot flip the verdict.
+/// The subscription index (see [`StandingSet`]) maps a [`DbDelta`]'s dirty groups to
+/// the standing requests that must be re-decided.  For an identity view, possibility
+/// and certainty decompose per shard group over the relations their facts mention —
+/// `POSS` holds iff every group covers its slice of the facts, `CERT` iff every group
+/// certainly does — so a delta whose dirty groups don't own any mentioned relation
+/// cannot flip the verdict.
 /// Membership, uniqueness and containment compare whole worlds; any group can flip
 /// them, so they stay on every delta's re-decision list.
 #[derive(Clone, Debug)]
@@ -229,15 +230,21 @@ struct StandingEntry {
     rebind_left: bool,
     /// Does the containment right-hand view track the standing database?
     rebind_right: bool,
-    deps: Deps,
     last: Decision,
 }
 
+/// The standing set and its subscription index: each entry's [`Deps`] filed under the
+/// table positions it depends on, so a delta finds its affected entries from the
+/// dirty groups' members alone — never by scanning the whole set.
 #[derive(Debug)]
 struct StandingSet {
     db: CDatabase,
     next_id: u64,
     entries: Vec<StandingEntry>,
+    /// Table position → indices of the [`Deps::Tables`] entries that mention it.
+    by_table: Vec<Vec<usize>>,
+    /// Indices of the [`Deps::AllGroups`] entries, affected by every applied delta.
+    everywhere: Vec<usize>,
 }
 
 impl Session {
@@ -362,37 +369,26 @@ impl Session {
         requests: &[DecisionRequest],
     ) -> Result<Redecision, DeltaError> {
         let (db, change) = prev.apply(delta)?;
-        if !change.is_noop() {
-            // Retire the caches of everything the delta dissolved: old shard groups
-            // that no longer appear in the new graph, and the previous joint value.
-            for old in prev.shard_groups() {
-                let survives = db
-                    .shard_groups()
-                    .iter()
-                    .any(|new| new.database() == old.database());
-                if !survives {
-                    self.engine.retire_database(old.database());
-                }
-            }
-            self.engine.retire_database(prev);
-            // The SatCache is keyed by condition, not database: purge only the
-            // conditions the retired value no longer shares with the live one.
-            self.engine.retire_conditions(prev, &db);
-        }
+        self.engine.retire_delta(prev, &db, &change);
         let rebound: Vec<DecisionRequest> = requests
             .iter()
             .map(|r| rebind_request(r, prev, &db))
             .collect();
-        // Pin the memo for the whole replay batch: a bounded memo must not evict a
-        // carried-over verdict between the delta and the request that replays it.
-        let replay_pin = self.engine.pin_memo();
-        let outcomes = run_batch(&rebound, &self.engine, self.workers);
-        drop(replay_pin);
+        let outcomes = self.replay_all(&rebound);
         Ok(Redecision {
             db,
             change,
             outcomes,
         })
+    }
+
+    /// [`Session::decide_all`] with the memo pinned for the whole batch: a bounded memo
+    /// cannot evict a carried-over verdict between a delta and the request that replays
+    /// it.  This is how [`Session::redecide_all`] and [`Session::push_delta`] decide
+    /// after their apply, and how a caller re-decides requests it bound to the database
+    /// a `push_delta` just returned.
+    pub fn replay_all(&self, requests: &[DecisionRequest]) -> Vec<DecisionOutcome> {
+        run_pinned(requests, &self.engine, self.workers)
     }
 
     /// Register `requests` as **standing queries** over `db` and decide their
@@ -410,14 +406,13 @@ impl Session {
         db: &CDatabase,
         requests: &[DecisionRequest],
     ) -> (Vec<u64>, Vec<DecisionOutcome>) {
-        if self.standing.is_none() {
-            self.standing = Some(StandingSet {
-                db: db.clone(),
-                next_id: 1,
-                entries: Vec::new(),
-            });
-        }
-        let set = self.standing.as_mut().expect("just initialized");
+        let set = self.standing.get_or_insert_with(|| StandingSet {
+            db: db.clone(),
+            next_id: 1,
+            entries: Vec::new(),
+            by_table: vec![Vec::new(); db.table_count()],
+            everywhere: Vec::new(),
+        });
         let mut ids = Vec::with_capacity(requests.len());
         let mut flags = Vec::with_capacity(requests.len());
         let mut bound = Vec::with_capacity(requests.len());
@@ -434,18 +429,24 @@ impl Session {
             flags.push((rebind_left, rebind_right));
             bound.push(rebind_standing(request, rebind_left, rebind_right, &set.db));
         }
-        let replay_pin = self.engine.pin_memo();
-        let baselines = run_batch(&bound, &self.engine, self.workers);
-        drop(replay_pin);
+        let baselines = run_pinned(&bound, &self.engine, self.workers);
         for ((request, &(rebind_left, rebind_right)), last) in
             requests.iter().zip(&flags).zip(&baselines)
         {
             let id = set.next_id;
             set.next_id += 1;
             ids.push(id);
+            let index = set.entries.len();
+            match deps_of(request, db) {
+                Deps::AllGroups => set.everywhere.push(index),
+                Deps::Tables(positions) => {
+                    for p in positions {
+                        set.by_table[p].push(index);
+                    }
+                }
+            }
             set.entries.push(StandingEntry {
                 id,
-                deps: deps_of(request, db),
                 request: request.clone(),
                 rebind_left,
                 rebind_right,
@@ -487,37 +488,21 @@ impl Session {
                 skipped: set.entries.len(),
             });
         }
-        // Retire dissolved caches exactly as redecide_all does.
-        for old in prev.shard_groups() {
-            let survives = db
-                .shard_groups()
-                .iter()
-                .any(|new| new.database() == old.database());
-            if !survives {
-                self.engine.retire_database(old.database());
+        self.engine.retire_delta(&prev, &db, &change);
+
+        // The subscription index: the members of the dirty groups (resolved against
+        // the *new* graph, so merges widen entries' reach on the delta that merges
+        // them) → the standing entries depending on those tables, plus the entries
+        // every delta affects.
+        let groups = db.shard_groups();
+        let mut affected: Vec<usize> = set.everywhere.clone();
+        for &g in &change.dirty_groups {
+            for &p in groups[g].members() {
+                affected.extend_from_slice(&set.by_table[p]);
             }
         }
-        self.engine.retire_database(&prev);
-        self.engine.retire_conditions(&prev, &db);
-
-        // The subscription index: dirty groups → affected standing requests.  Group
-        // ownership is resolved against the *new* graph, so merges widen entries'
-        // reach on the delta that merges them.
-        let group_of = db.shard_group_index();
-        let dirty: std::collections::BTreeSet<usize> =
-            change.dirty_groups.iter().copied().collect();
-        let affected: Vec<usize> = set
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, entry)| match &entry.deps {
-                Deps::AllGroups => true,
-                Deps::Tables(positions) => positions
-                    .iter()
-                    .any(|&p| group_of.get(p).is_some_and(|g| dirty.contains(g))),
-            })
-            .map(|(i, _)| i)
-            .collect();
+        affected.sort_unstable();
+        affected.dedup();
 
         let rebound: Vec<DecisionRequest> = affected
             .iter()
@@ -526,9 +511,7 @@ impl Session {
                 rebind_standing(&entry.request, entry.rebind_left, entry.rebind_right, &db)
             })
             .collect();
-        let replay_pin = self.engine.pin_memo();
-        let outcomes = run_batch(&rebound, &self.engine, self.workers);
-        drop(replay_pin);
+        let outcomes = run_pinned(&rebound, &self.engine, self.workers);
 
         let mut flips = Vec::new();
         for (&i, outcome) in affected.iter().zip(outcomes) {
@@ -716,6 +699,16 @@ fn guarded_outcome(request: &DecisionRequest, engine: &Engine, index: usize) -> 
             catch_unwind(AssertUnwindSafe(|| request.strategy())).unwrap_or(Strategy::Backtracking);
         Decision::of(Err(DecisionError::WorkerPanicked(message)), strategy)
     })
+}
+
+/// [`run_batch`] with the memo pinned for the whole batch (see [`Session::replay_all`]).
+fn run_pinned(
+    requests: &[DecisionRequest],
+    engine: &Engine,
+    workers: usize,
+) -> Vec<DecisionOutcome> {
+    let _replay_pin = engine.pin_memo();
+    run_batch(requests, engine, workers)
 }
 
 /// The shared worker pool behind [`Session::decide_all`] and [`decide_all_with`].

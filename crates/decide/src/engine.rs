@@ -52,7 +52,7 @@ use crate::common::{
 };
 use pw_condition::Variable;
 use pw_condition::{Atom, Conjunction, ConstraintSet, SatCache, Term};
-use pw_core::{CDatabase, CTable, Certificate, Valuation};
+use pw_core::{CDatabase, CTable, Certificate, DbDelta, Valuation};
 use pw_relational::{Constant, Instance, Sym, Symbols, Tuple};
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -1053,41 +1053,176 @@ pub struct Engine {
     stats: EngineStatsCounters,
 }
 
-/// The bounded decision memo: entries plus the clock (second-chance) eviction state.
+/// The decision memo: per-group entries indexed by the database they were asked of,
+/// plus the clock (second-chance) eviction state of a bounded memo.
 ///
-/// Eviction policy: every insert that pushes `entries` past
+/// Indexing: entries live in one bucket per group database (`by_db`), and `by_rhs`
+/// maps each containment right-hand database to the left-hand buckets holding entries
+/// keyed by it.  Retiring a database after a delta ([`Engine::retire_database`]) drops
+/// its bucket and visits only the buckets `by_rhs` names — never the rest of the memo.
+/// Each bucket key and each `by_rhs` link is a refcounted [`CDatabase`] handle, not a
+/// copy of the tables, and an entry's request instance is stored once, in its bucket.
+///
+/// Eviction policy: every insert that pushes the memo past
 /// [`EngineConfig::memo_capacity`] sweeps the clock hand — a referenced entry (hit
 /// since the hand last passed) gets its bit cleared and one more lap, an unreferenced
-/// one evicts, certificate and all.  While `pins > 0` (a
+/// one evicts, certificate and all.  Only a bounded memo keeps a clock.  Its positions
+/// carry the entry's insertion stamp, so a position whose entry was retired (or
+/// retired and re-inserted) is recognised as dead: the hand skips it, and the queue is
+/// compacted once dead positions outnumber live entries.  While `pins > 0` (a
 /// [`crate::batch::Session::redecide_all`] replay in flight) nothing evicts; the
 /// unpin re-enforces the bound.  Correctness does not depend on the policy at all:
 /// an evicted entry is simply recomputed on the next miss, and only definite answers
 /// are ever stored, so the recomputed verdict is identical.
 #[derive(Debug, Default)]
 struct MemoTable {
-    entries: HashMap<MemoKey, MemoEntry>,
-    /// The clock hand's queue: keys in insertion/second-chance order.  May hold stale
-    /// keys after [`Engine::retire_database`] sweeps `entries`; the eviction loop
-    /// skips them.
-    clock: VecDeque<MemoKey>,
+    by_db: HashMap<CDatabase, HashMap<MemoQuestion, MemoEntry>>,
+    /// Containment right-hand database → left-hand database → entries linking them.
+    by_rhs: HashMap<CDatabase, HashMap<CDatabase, usize>>,
+    /// Entries across all buckets.
+    len: usize,
+    /// The clock hand's queue (bounded memos only): `(database, question, stamp)`.
+    clock: VecDeque<(CDatabase, MemoQuestion, u64)>,
+    next_stamp: u64,
     evictions: u64,
     pins: u32,
 }
 
-/// A decision-memo key.  Every component is held *structurally* — the request instance
-/// and the optional right-hand database included — so two different questions can never
-/// collide into one entry (the same "distinct keys can never collide" rule the
-/// base-store cache follows); hashing is still one fingerprint word per database plus
-/// the instance walk.
+/// What a memo entry answers, within its database's bucket.  Every component is held
+/// *structurally* — the request instance and the optional right-hand database included
+/// — so two different questions can never collide into one entry (the same "distinct
+/// keys can never collide" rule the base-store cache follows); hashing is still one
+/// fingerprint word per database plus the instance walk.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct MemoKey {
+struct MemoQuestion {
     op: MemoOp,
-    /// The (group) database the primitive is asked of.
-    db: CDatabase,
     /// The request's slice of the instance (empty for [`MemoOp::Containment`]).
     request: Instance,
     /// The right-hand group database of a [`MemoOp::Containment`] question.
     rhs: Option<CDatabase>,
+}
+
+impl MemoTable {
+    fn get_mut(&mut self, db: &CDatabase, question: &MemoQuestion) -> Option<&mut MemoEntry> {
+        self.by_db.get_mut(db)?.get_mut(question)
+    }
+
+    /// Store a verdict.  A new entry gets a fresh stamp and, when `clocked`, a clock
+    /// position; an existing one is overwritten in place (a certified upgrade) and keeps
+    /// its stamp, so its clock position stays live.  Returns whether the entry is new.
+    fn insert(
+        &mut self,
+        db: &CDatabase,
+        question: MemoQuestion,
+        answer: bool,
+        certificate: Option<Certificate>,
+        clocked: bool,
+    ) -> bool {
+        if let Some(entry) = self.get_mut(db, &question) {
+            entry.answer = answer;
+            entry.certificate = certificate;
+            entry.referenced = false;
+            return false;
+        }
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        if let Some(rhs) = &question.rhs {
+            *self
+                .by_rhs
+                .entry(rhs.clone())
+                .or_default()
+                .entry(db.clone())
+                .or_default() += 1;
+        }
+        if clocked {
+            self.clock.push_back((db.clone(), question.clone(), stamp));
+        }
+        self.by_db.entry(db.clone()).or_default().insert(
+            question,
+            MemoEntry {
+                answer,
+                certificate,
+                referenced: false,
+                stamp,
+            },
+        );
+        self.len += 1;
+        true
+    }
+
+    /// Drop the `rhs → db` link of one removed entry.
+    fn unlink(&mut self, db: &CDatabase, rhs: &CDatabase) {
+        if let Some(lefts) = self.by_rhs.get_mut(rhs) {
+            if let Some(count) = lefts.get_mut(db) {
+                *count -= 1;
+                if *count == 0 {
+                    lefts.remove(db);
+                }
+            }
+            if lefts.is_empty() {
+                self.by_rhs.remove(rhs);
+            }
+        }
+    }
+
+    fn remove(&mut self, db: &CDatabase, question: &MemoQuestion) {
+        let Some(bucket) = self.by_db.get_mut(db) else {
+            return;
+        };
+        if bucket.remove(question).is_none() {
+            return;
+        }
+        if bucket.is_empty() {
+            self.by_db.remove(db);
+        }
+        self.len -= 1;
+        if let Some(rhs) = &question.rhs {
+            self.unlink(db, rhs);
+        }
+    }
+
+    /// Drop every entry asked of `db` or keyed by it as a containment right-hand side:
+    /// one bucket removal plus the buckets `by_rhs` links to `db`.
+    fn retire(&mut self, db: &CDatabase) {
+        if let Some(bucket) = self.by_db.remove(db) {
+            self.len -= bucket.len();
+            for question in bucket.into_keys() {
+                if let Some(rhs) = &question.rhs {
+                    self.unlink(db, rhs);
+                }
+            }
+        }
+        if let Some(lefts) = self.by_rhs.remove(db) {
+            for left in lefts.into_keys() {
+                let Some(bucket) = self.by_db.get_mut(&left) else {
+                    continue;
+                };
+                let before = bucket.len();
+                bucket.retain(|question, _| question.rhs.as_ref() != Some(db));
+                self.len -= before - bucket.len();
+                if bucket.is_empty() {
+                    self.by_db.remove(&left);
+                }
+            }
+        }
+        // Lazy clock compaction: dead positions are skipped by the hand, and swept out
+        // once they outnumber the live entries, so the queue stays O(entries).
+        if self.clock.len() > 2 * self.len + 64 {
+            let clock = std::mem::take(&mut self.clock);
+            self.clock = clock
+                .into_iter()
+                .filter(|(db, question, stamp)| self.is_live(db, question, *stamp))
+                .collect();
+        }
+    }
+
+    /// Does the clock position `(db, question, stamp)` still name a stored entry?
+    fn is_live(&self, db: &CDatabase, question: &MemoQuestion, stamp: u64) -> bool {
+        self.by_db
+            .get(db)
+            .and_then(|bucket| bucket.get(question))
+            .is_some_and(|entry| entry.stamp == stamp)
+    }
 }
 
 /// A memoized per-group verdict, with the evidence a certified decide extracted for it.
@@ -1100,6 +1235,8 @@ struct MemoEntry {
     certificate: Option<Certificate>,
     /// Second-chance bit: set on every memo hit, cleared when the clock hand passes.
     referenced: bool,
+    /// Insertion stamp, matched against clock positions (see [`MemoTable`]).
+    stamp: u64,
 }
 
 /// The per-group decision primitives the engine memoizes.  Each is a deterministic
@@ -1135,6 +1272,24 @@ pub struct MemoStats {
     /// Entries evicted by the capacity bound ([`EngineConfig::memo_capacity`]) since
     /// the engine was built.
     pub evictions: u64,
+}
+
+/// The sizes of an engine's long-lived caches, for tests that hold a session serving a
+/// delta stream to bounded state ([`Engine::cache_footprint`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheFootprint {
+    /// Decision-memo entries.
+    pub memo_entries: usize,
+    /// Databases the memo holds a bucket of entries for (its per-database index).
+    pub memo_databases: usize,
+    /// `(right-hand, left-hand)` database links in the memo's containment index.
+    pub memo_rhs_links: usize,
+    /// Clock-hand positions, live or awaiting compaction (0 for an unbounded memo).
+    pub memo_clock: usize,
+    /// Per-database base stores.
+    pub base_stores: usize,
+    /// Interned conditions in the satisfiability cache.
+    pub sat_entries: usize,
 }
 
 impl Engine {
@@ -1177,15 +1332,14 @@ impl Engine {
         rhs: Option<&CDatabase>,
         compute: impl FnOnce() -> Result<bool, DecisionError>,
     ) -> Result<bool, DecisionError> {
-        let key = MemoKey {
+        let question = MemoQuestion {
             op,
-            db: db.clone(),
             request: request.clone(),
             rhs: rhs.cloned(),
         };
         {
             let mut memo = lock_unpoisoned(&self.decision_memo);
-            if let Some(entry) = memo.entries.get_mut(&key) {
+            if let Some(entry) = memo.get_mut(db, &question) {
                 entry.referenced = true;
                 self.memo_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(entry.answer);
@@ -1200,16 +1354,8 @@ impl Engine {
             .unwrap_or_else(|p| Err(DecisionError::WorkerPanicked(panic_message(p.as_ref()))))?;
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = lock_unpoisoned(&self.decision_memo);
-        if !memo.entries.contains_key(&key) {
-            memo.entries.insert(
-                key.clone(),
-                MemoEntry {
-                    answer: verdict,
-                    certificate: None,
-                    referenced: false,
-                },
-            );
-            memo.clock.push_back(key);
+        if memo.get_mut(db, &question).is_none() {
+            memo.insert(db, question, verdict, None, self.memo_clocked());
             self.enforce_memo_capacity(&mut memo);
         }
         Ok(verdict)
@@ -1228,15 +1374,14 @@ impl Engine {
         rhs: Option<&CDatabase>,
         compute: impl FnOnce() -> Result<(bool, Option<Certificate>), DecisionError>,
     ) -> Result<(bool, Option<Certificate>), DecisionError> {
-        let key = MemoKey {
+        let question = MemoQuestion {
             op,
-            db: db.clone(),
             request: request.clone(),
             rhs: rhs.cloned(),
         };
         {
             let mut memo = lock_unpoisoned(&self.decision_memo);
-            if let Some(entry) = memo.entries.get_mut(&key) {
+            if let Some(entry) = memo.get_mut(db, &question) {
                 if entry.certificate.is_some() {
                     entry.referenced = true;
                     self.memo_hits.fetch_add(1, Ordering::Relaxed);
@@ -1250,17 +1395,13 @@ impl Engine {
         let (answer, certificate) = result?;
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = lock_unpoisoned(&self.decision_memo);
-        let upgrade = memo.entries.contains_key(&key);
-        memo.entries.insert(
-            key.clone(),
-            MemoEntry {
-                answer,
-                certificate: certificate.clone(),
-                referenced: false,
-            },
-        );
-        if !upgrade {
-            memo.clock.push_back(key);
+        if memo.insert(
+            db,
+            question,
+            answer,
+            certificate.clone(),
+            self.memo_clocked(),
+        ) {
             self.enforce_memo_capacity(&mut memo);
         }
         Ok((answer, certificate))
@@ -1275,6 +1416,11 @@ impl Engine {
         self.cfg.memo_capacity.map(|c| c.max(1))
     }
 
+    /// Does this engine's memo keep a clock?  Only a bounded memo evicts.
+    fn memo_clocked(&self) -> bool {
+        self.effective_memo_capacity().is_some()
+    }
+
     /// The second-chance sweep (see [`MemoTable`]).  No-op while the memo is pinned or
     /// unbounded.
     fn enforce_memo_capacity(&self, memo: &mut MemoTable) {
@@ -1287,20 +1433,22 @@ impl Engine {
         // After one full lap every survivor's referenced bit is cleared, so the hand
         // finds an eviction victim within 2·len steps — the loop is bounded.
         let mut steps = memo.clock.len().saturating_mul(2);
-        while memo.entries.len() > cap && steps > 0 {
+        while memo.len > cap && steps > 0 {
             steps -= 1;
-            let Some(key) = memo.clock.pop_front() else {
+            let Some((db, question, stamp)) = memo.clock.pop_front() else {
                 break;
             };
-            match memo.entries.get_mut(&key) {
-                // Stale hand position: the entry was retired with its database.
+            match memo.get_mut(&db, &question) {
+                // Dead position: the entry was retired with its database (and maybe
+                // re-inserted since, under a newer stamp and position).
+                Some(entry) if entry.stamp != stamp => continue,
                 None => continue,
                 Some(entry) if entry.referenced => {
                     entry.referenced = false;
-                    memo.clock.push_back(key);
+                    memo.clock.push_back((db, question, stamp));
                 }
                 Some(_) => {
-                    memo.entries.remove(&key);
+                    memo.remove(&db, &question);
                     memo.evictions += 1;
                 }
             }
@@ -1322,50 +1470,112 @@ impl Engine {
         MemoStats {
             hits: self.memo_hits.load(Ordering::Relaxed),
             misses: self.memo_misses.load(Ordering::Relaxed),
-            entries: memo.entries.len(),
+            entries: memo.len,
             evictions: memo.evictions,
         }
     }
 
-    /// Drop every cache entry keyed by `db` — the base store and all memoized
-    /// verdicts.  A long-lived engine serving a mutating database calls this (via
-    /// `batch`'s re-decision front door) for the previous database value and for the
-    /// dissolved shard groups after a delta, so retired versions do not accumulate.
-    pub fn retire_database(&self, db: &CDatabase) {
-        lock_unpoisoned(&self.base_stores).remove(db);
-        let mut memo = lock_unpoisoned(&self.decision_memo);
-        memo.entries
-            .retain(|key, _| key.db != *db && key.rhs.as_ref() != Some(db));
-        let MemoTable { entries, clock, .. } = &mut *memo;
-        clock.retain(|key| entries.contains_key(key));
+    /// The sizes of the engine's long-lived caches (see [`CacheFootprint`]).
+    pub fn cache_footprint(&self) -> CacheFootprint {
+        let base_stores = lock_unpoisoned(&self.base_stores).len();
+        let memo = lock_unpoisoned(&self.decision_memo);
+        CacheFootprint {
+            memo_entries: memo.len,
+            memo_databases: memo.by_db.len(),
+            memo_rhs_links: memo.by_rhs.values().map(HashMap::len).sum(),
+            memo_clock: memo.clock.len(),
+            base_stores,
+            sat_entries: self.sat_cache.stats().entries,
+        }
     }
 
-    /// Purge the hash-consed condition-satisfiability entries that belonged to
-    /// `retired` and are **not** shared with `live`.  The complement of
-    /// [`Engine::retire_database`] for the [`SatCache`]: conditions are shared across
-    /// database versions (most rows survive a small delta), so a retire must be
-    /// keep-aware — dropping everything `retired` ever interned would also purge the
-    /// live database's entries.  Called by [`crate::batch::Session::redecide_all`]
-    /// when a delta replaces the database value.
-    pub fn retire_conditions(&self, retired: &CDatabase, live: &CDatabase) {
-        fn conditions(db: &CDatabase) -> HashSet<Conjunction> {
-            let mut set = HashSet::new();
-            for table in db.tables() {
-                set.insert(table.global_condition().clone());
-                for row in table.tuples() {
-                    set.insert(row.condition.clone());
-                }
-            }
-            set
-        }
-        let mut dead = conditions(retired);
-        for cond in conditions(live) {
-            dead.remove(&cond);
-        }
-        if dead.is_empty() {
+    /// Every database a cache entry is keyed by: the base stores', and the memo's
+    /// group databases and containment right-hand sides.  An audit surface: after a
+    /// delta, none of them may be a retired version.
+    pub fn cached_databases(&self) -> Vec<CDatabase> {
+        let mut out: Vec<CDatabase> = lock_unpoisoned(&self.base_stores).keys().cloned().collect();
+        let memo = lock_unpoisoned(&self.decision_memo);
+        out.extend(memo.by_db.keys().cloned());
+        out.extend(memo.by_rhs.keys().cloned());
+        out
+    }
+
+    /// Drop every cache entry keyed by `db` — the base store and all memoized
+    /// verdicts asked of it or keyed by it as a containment right-hand side.  Touches
+    /// only those entries: one bucket of the per-database index, plus the buckets its
+    /// containment right-hand-side index links to it.
+    pub fn retire_database(&self, db: &CDatabase) {
+        lock_unpoisoned(&self.base_stores).remove(db);
+        lock_unpoisoned(&self.decision_memo).retire(db);
+    }
+
+    /// Retire what a delta from `prev` to `live` orphaned: the caches keyed by `prev`
+    /// and by every old shard group the delta dissolved ([`DbDelta::dirty_old`]), and
+    /// the condition-satisfiability entries only `prev` held.  Every other group was
+    /// carried into `live` by refcount, so its entries stay.  Cost is proportional to
+    /// the dissolved groups and the changed tables, not to the database or the memo.
+    /// The one retirement rule behind [`crate::batch::Session::redecide_all`] and
+    /// [`crate::batch::Session::push_delta`]; a no-op delta retires nothing.
+    pub fn retire_delta(&self, prev: &CDatabase, live: &CDatabase, change: &DbDelta) {
+        if change.is_noop() {
             return;
         }
-        self.sat_cache.retain(|cond| !dead.contains(cond));
+        let groups = prev.shard_groups();
+        for &g in &change.dirty_old {
+            self.retire_database(groups[g].database());
+        }
+        self.retire_database(prev);
+        self.retire_conditions(prev, live, change);
+    }
+
+    /// Purge the hash-consed condition-satisfiability entries that belonged to `prev`
+    /// and are **not** held by `live` — keep-aware, because conditions are shared
+    /// across database versions (most rows survive a small delta), and exact: the
+    /// purged set is precisely `conditions(prev) − conditions(live)`.
+    ///
+    /// Only a changed table can hold a condition `live` lacks, so the candidates come
+    /// from `prev`'s changed tables, minus those `live`'s changed tables still hold.  A
+    /// surviving candidate that mentions a variable can only recur in a table sharing
+    /// that variable — a member of a dissolved old group — so only those are scanned;
+    /// a ground candidate (e.g. the empty condition) is looked up in every table, with
+    /// an early exit on the first occurrence.
+    fn retire_conditions(&self, prev: &CDatabase, live: &CDatabase, change: &DbDelta) {
+        fn conditions(table: &CTable) -> impl Iterator<Item = &Conjunction> {
+            std::iter::once(table.global_condition())
+                .chain(table.tuples().iter().map(|r| &r.condition))
+        }
+        let mut dead: HashSet<&Conjunction> = change
+            .changed_tables
+            .iter()
+            .flat_map(|&p| conditions(&prev.tables()[p]))
+            .collect();
+        for &p in &change.changed_tables {
+            for cond in conditions(&live.tables()[p]) {
+                dead.remove(cond);
+            }
+        }
+        let (ground, mut lifted): (Vec<&Conjunction>, Vec<&Conjunction>) =
+            dead.into_iter().partition(|c| c.variables().is_empty());
+        let groups = prev.shard_groups();
+        let coupled = change
+            .dirty_old
+            .iter()
+            .flat_map(|&g| groups[g].members().iter().copied());
+        for p in coupled {
+            if lifted.is_empty() {
+                break;
+            }
+            for cond in conditions(&live.tables()[p]) {
+                lifted.retain(|c| *c != cond);
+            }
+        }
+        let mut dead = lifted;
+        for cond in ground {
+            if !live.tables().iter().flat_map(conditions).any(|c| c == cond) {
+                dead.push(cond);
+            }
+        }
+        self.sat_cache.forget(dead);
     }
 
     /// Replace the per-request budget.  Crate-internal: the retry front door

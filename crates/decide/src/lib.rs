@@ -55,5 +55,7 @@ pub use batch::{
 pub use common::{
     Budget, BudgetExceeded, CancelToken, Decision, DecisionError, FaultPlan, Strategy,
 };
-pub use engine::{Engine, EngineConfig, EngineStats, MemoOp, MemoStats, SharedBudget};
+pub use engine::{
+    CacheFootprint, Engine, EngineConfig, EngineStats, MemoOp, MemoStats, SharedBudget,
+};
 pub use pw_core::{Certificate, PairCert};

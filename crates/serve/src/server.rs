@@ -15,11 +15,12 @@
 //!
 //! Each registered c-database gets a `DbEntry`: its current [`CDatabase`] value, a
 //! long-lived [`Session`] (so repeated and incremental decisions hit the engine's
-//! caches), and the *standing* requests that `POST …/delta` re-decides after every
-//! mutation.  Lock order is `op → registry → subscriptions → db → session → standing
-//! → window → routes → flip queue` — `op` is the per-database outer lock serializing
-//! decide/delta cycles, the inner locks are held briefly and never while acquiring a
-//! peer's.
+//! caches), and the legacy *standing* requests `POST …/delta` replays.  Each delta is
+//! applied once: by `Session::push_delta` when the session holds a standing set, else
+//! by `Session::redecide_all`.  `op` is the per-database outer lock serializing
+//! decide/delta/subscribe cycles; under it each inner lock (`registry`, `subscriptions`,
+//! `db`, `session`, `standing`, `window`) is held for one step and never while another
+//! is taken, except `routes → flip queue`.
 //!
 //! ## Standing queries
 //!
@@ -42,8 +43,8 @@
 use crate::http::{read_request, write_response, Request};
 use crate::json::Json;
 use crate::wire;
-use pw_core::{CDatabase, Delta, DeltaWindow};
-use pw_decide::{Budget, EngineConfig, Session, VerdictFlip};
+use pw_core::{CDatabase, Delta, DeltaError, DeltaWindow};
+use pw_decide::{Budget, DecisionRequest, EngineConfig, Session, VerdictFlip};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -472,6 +473,20 @@ fn db_of(shared: &Shared, id: u64) -> Option<CDatabase> {
     Some(db)
 }
 
+/// Decode wire requests against `db`, resolving containment right-hand sides through
+/// the registry ([`db_of`]); the error names the offending `requests[i]`.
+fn decode_requests(
+    shared: &Shared,
+    json: &[Json],
+    db: &CDatabase,
+) -> Result<Vec<DecisionRequest>, String> {
+    let resolve = |rid: u64| db_of(shared, rid);
+    let decoded = json.iter().enumerate().map(|(i, rj)| {
+        wire::decode_request(rj, db, &resolve).map_err(|e| format!("requests[{i}]: {e}"))
+    });
+    decoded.collect()
+}
+
 fn register(shared: &Shared, body: &Json) -> Reply {
     let Some(db_json) = body.get("database") else {
         return error_reply(400, "bad-request", "missing field 'database'");
@@ -549,16 +564,10 @@ fn decide(shared: &Shared, id: u64, request: &Request, body: &Json) -> Reply {
 
     let _op = lock(&entry.op);
     let db = lock(&entry.db).clone();
-    let mut requests = Vec::with_capacity(requests_json.len());
-    let resolve = |rid: u64| db_of(shared, rid);
-    for (i, rj) in requests_json.iter().enumerate() {
-        match wire::decode_request(rj, &db, &resolve) {
-            Ok(r) => requests.push(r),
-            Err(e) => {
-                return error_reply(400, "bad-request", &format!("requests[{i}]: {e}"));
-            }
-        }
-    }
+    let requests = match decode_requests(shared, requests_json, &db) {
+        Ok(requests) => requests,
+        Err(message) => return error_reply(400, "bad-request", &message),
+    };
     let outcomes = match deadline {
         Some(d) => lock(&entry.session).decide_all_within(&requests, d),
         None => lock(&entry.session).decide_all(&requests),
@@ -626,47 +635,40 @@ fn delta(shared: &Shared, id: u64, body: &Json) -> Reply {
         }
     };
 
+    // One apply per delta: with a standing set `push_delta` is the apply, and the
+    // legacy standing requests are decoded against its result and replayed on the
+    // same session; without one, `redecide_all` applies the delta and replays them.
     let prev = lock(&entry.db).clone();
+    let subscribed = lock(&entry.session).standing_db().is_some();
+    let pushed = subscribed.then(|| lock(&entry.session).push_delta(&applied));
+    let update = match pushed.transpose() {
+        Ok(update) => update,
+        Err(e) => return bad_delta(&entry, &prev, &e),
+    };
+    // The pushed result is the live value before any standing request resolves it.
+    let current = update.as_ref().map_or(&prev, |u| &u.db);
+    *lock(&entry.db) = current.clone();
     let standing_json = lock(&entry.standing).clone();
-    let mut standing = Vec::with_capacity(standing_json.len());
-    let resolve = |rid: u64| db_of(shared, rid);
-    for (i, rj) in standing_json.iter().enumerate() {
-        match wire::decode_request(rj, &prev, &resolve) {
-            Ok(r) => standing.push(r),
-            Err(e) => {
-                return error_reply(
-                    500,
-                    "internal",
-                    &format!("standing request {i} no longer decodes: {e}"),
-                );
+    let standing = match decode_requests(shared, &standing_json, current) {
+        Ok(standing) => standing,
+        Err(e) => return error_reply(500, "internal", &format!("standing {e}")),
+    };
+    let (noop, outcomes) = match &update {
+        Some(u) => (
+            u.change.is_noop(),
+            lock(&entry.session).replay_all(&standing),
+        ),
+        None => {
+            let redecided = lock(&entry.session).redecide_all(&prev, &applied, &standing);
+            match redecided {
+                Ok(r) => {
+                    *lock(&entry.db) = r.db;
+                    (r.change.is_noop(), r.outcomes)
+                }
+                Err(e) => return bad_delta(&entry, &prev, &e),
             }
         }
-    }
-    let mut session = lock(&entry.session);
-    let redecision = match session.redecide_all(&prev, &applied, &standing) {
-        Ok(r) => r,
-        Err(e) => {
-            drop(session);
-            // A window validated this delta before emitting it, so `apply` accepting
-            // it is the expected case; on the unexpected rejection, rebase the window
-            // over the unchanged database so the two cannot drift apart.
-            let mut slot = lock(&entry.window);
-            if let Some(window) = slot.as_ref() {
-                *slot = Some(DeltaWindow::new(&prev, window.kind()));
-            }
-            return error_reply(400, "bad-delta", &e.to_string());
-        }
     };
-    // The subscription path: re-decide only the standing requests this delta can
-    // affect.  `redecide_all` just accepted the same delta, so rejection here is
-    // unreachable; `.ok()` keeps the legacy reply intact regardless.
-    let update = if session.standing_db().is_some() {
-        session.push_delta(&applied).ok()
-    } else {
-        None
-    };
-    drop(session);
-    *lock(&entry.db) = redecision.db;
     entry.deltas_applied.fetch_add(1, Ordering::SeqCst);
 
     let (flips, redecided, skipped) = match &update {
@@ -688,17 +690,11 @@ fn delta(shared: &Shared, id: u64, body: &Json) -> Reply {
         200,
         Json::Object(vec![
             ("schema_version".into(), Json::Int(wire::SCHEMA_VERSION)),
-            ("noop".into(), Json::Bool(redecision.change.is_noop())),
+            ("noop".into(), Json::Bool(noop)),
             ("buffered".into(), Json::Bool(false)),
             (
                 "outcomes".into(),
-                Json::Array(
-                    redecision
-                        .outcomes
-                        .iter()
-                        .map(wire::encode_decision)
-                        .collect(),
-                ),
+                Json::Array(outcomes.iter().map(wire::encode_decision).collect()),
             ),
             (
                 "flips".into(),
@@ -714,6 +710,16 @@ fn delta(shared: &Shared, id: u64, body: &Json) -> Reply {
             ("skipped".into(), Json::Int(skipped as i64)),
         ]),
     )
+}
+
+/// `400 bad-delta`: `apply` rejected the delta and nothing changed.  A window (which
+/// validated the delta) is rebased over the unchanged database so they cannot drift.
+fn bad_delta(entry: &DbEntry, prev: &CDatabase, e: &DeltaError) -> Reply {
+    let mut slot = lock(&entry.window);
+    if let Some(window) = slot.as_ref() {
+        *slot = Some(DeltaWindow::new(prev, window.kind()));
+    }
+    error_reply(400, "bad-delta", &e.to_string())
 }
 
 /// The `POST …/delta` reply while a window is buffering: nothing applied yet.
@@ -756,16 +762,10 @@ fn subscribe(shared: &Shared, body: &Json) -> Reply {
 
     let _op = lock(&entry.op);
     let db = lock(&entry.db).clone();
-    let resolve = |rid: u64| db_of(shared, rid);
-    let mut requests = Vec::with_capacity(requests_json.len());
-    for (i, rj) in requests_json.iter().enumerate() {
-        match wire::decode_request(rj, &db, &resolve) {
-            Ok(r) => requests.push(r),
-            Err(e) => {
-                return error_reply(400, "bad-request", &format!("requests[{i}]: {e}"));
-            }
-        }
-    }
+    let requests = match decode_requests(shared, requests_json, &db) {
+        Ok(requests) => requests,
+        Err(message) => return error_reply(400, "bad-request", &message),
+    };
     if let Some(kind) = window {
         // Replacing a window is only safe while it holds nothing: buffered deltas are
         // phrased against the virtual row counts and would be lost wholesale.

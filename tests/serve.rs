@@ -12,12 +12,17 @@
 //!   admitted work drains.
 //! * **Typed refusals** — malformed JSON and oversized bodies answer `400`/`413`
 //!   error bodies, and the server survives to serve the next request.
+//! * **One apply per delta** — a delta the database rejects answers `400 bad-delta`
+//!   and leaves a subscribed database, its standing set and its window untouched; with
+//!   legacy standing requests and a subscription on one database, every `/delta` reply
+//!   equals `redecide_all` + `push_delta` on a fresh library session.
 
 use possible_worlds::core::Delta;
 use possible_worlds::decide::{batch, EngineConfig};
 use possible_worlds::prelude::*;
 use possible_worlds::workloads::{
-    member_instance, non_member_instance, random_ctable, random_gtable, TableParams,
+    flip_heavy_stream, member_instance, non_member_instance, random_ctable, random_gtable,
+    StreamProblem, TableParams,
 };
 use pw_serve::json::Json;
 use pw_serve::{client, wire, Server, ServerConfig};
@@ -68,6 +73,73 @@ fn register(addr: std::net::SocketAddr, db: &CDatabase) -> u64 {
         .get("id")
         .and_then(Json::as_u64)
         .expect("register body has an id")
+}
+
+fn versioned(fields: Vec<(&str, Json)>) -> Json {
+    let mut body = vec![(
+        "schema_version".to_string(),
+        Json::Int(wire::SCHEMA_VERSION),
+    )];
+    body.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    Json::Object(body)
+}
+
+/// Post `delta` to database `id`; returns the status and the parsed reply.
+fn post_delta(addr: std::net::SocketAddr, id: u64, delta: &Delta) -> (u16, Json) {
+    let body = versioned(vec![("delta", wire::encode_delta(delta))]);
+    let response = client::post_json(addr, &format!("/v1/databases/{id}/delta"), &body)
+        .expect("delta reachable");
+    let reply = response.json().expect("delta reply is JSON");
+    (response.status, reply)
+}
+
+/// Open a subscription on database `id`; returns the registration reply.
+fn subscribe(addr: std::net::SocketAddr, id: u64, requests: Vec<Json>) -> Json {
+    let body = versioned(vec![
+        ("database", Json::Int(id as i64)),
+        ("requests", Json::Array(requests)),
+    ]);
+    let response =
+        client::post_json(addr, "/v1/subscriptions", &body).expect("subscribe reachable");
+    assert_eq!(response.status, 201, "subscribe: {}", response.body);
+    response.json().expect("subscribe reply is JSON")
+}
+
+/// The `/delta` reply fields the library determines: `noop`, the replayed legacy
+/// outcomes, the flips with their sequence numbers, and the subscription counters.
+/// `flips_sent` is the number of flips the database emitted before this delta.
+fn expected_delta_reply(
+    noop: bool,
+    outcomes: &[batch::DecisionOutcome],
+    update: &batch::StandingUpdate,
+    flips_sent: u64,
+) -> Vec<(&'static str, Json)> {
+    vec![
+        ("noop", Json::Bool(noop)),
+        (
+            "outcomes",
+            Json::Array(outcomes.iter().map(wire::encode_decision).collect()),
+        ),
+        (
+            "flips",
+            Json::Array(
+                update
+                    .flips
+                    .iter()
+                    .enumerate()
+                    .map(|(i, f)| wire::encode_flip(flips_sent + i as u64 + 1, f))
+                    .collect(),
+            ),
+        ),
+        ("redecided", Json::Int(update.redecided as i64)),
+        ("skipped", Json::Int(update.skipped as i64)),
+    ]
+}
+
+fn assert_reply_fields(reply: &Json, expected: &[(&'static str, Json)], context: &str) {
+    for (field, want) in expected {
+        assert_eq!(reply.get(field), Some(want), "{context}: field '{field}'");
+    }
 }
 
 fn request_json(problem: &str, field: &str, payload: Json) -> Json {
@@ -279,6 +351,191 @@ fn over_capacity_clients_are_shed_with_429_not_hangs() {
     let health = client::get(addr, "/healthz").expect("healthz reachable after the squeeze");
     assert_eq!(health.status, 200, "{}", health.body);
 
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_bad_delta_leaves_a_subscribed_database_unchanged() {
+    let workload = flip_heavy_stream(4, 4, 8, 3);
+    let db = workload.base.clone();
+    let (library_requests, wire_requests): (Vec<_>, Vec<_>) = workload
+        .requests
+        .iter()
+        .map(|r| {
+            let view = View::identity(db.clone());
+            let facts = wire::encode_instance(&r.facts);
+            match r.problem {
+                StreamProblem::Possibility => (
+                    batch::DecisionRequest::Possibility {
+                        view,
+                        facts: r.facts.clone(),
+                    },
+                    request_json("possibility", "facts", facts),
+                ),
+                StreamProblem::Certainty => (
+                    batch::DecisionRequest::Certainty {
+                        view,
+                        facts: r.facts.clone(),
+                    },
+                    request_json("certainty", "facts", facts),
+                ),
+            }
+        })
+        .unzip();
+    let mut library = server_session();
+    let _ = library.register_standing(&db, &library_requests);
+
+    let server = Server::start(quiet_config()).expect("server starts");
+    let addr = server.local_addr();
+    let id = register(addr, &db);
+    let _ = subscribe(addr, id, wire_requests);
+    let stats = |addr| {
+        let response =
+            client::get(addr, &format!("/v1/databases/{id}/stats")).expect("stats reachable");
+        response.json().expect("stats reply is JSON")
+    };
+    let before = stats(addr);
+
+    // A retraction past the end of a table: `apply` rejects it, so nothing moves.
+    let bad = Delta::new().retract(db.tables()[0].name(), 99);
+    let (status, reply) = post_delta(addr, id, &bad);
+    assert_eq!(status, 400, "{reply}");
+    let code = reply.get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(Json::as_str), Some("bad-delta"));
+    let after = stats(addr);
+    for field in [
+        "deltas_applied",
+        "flips_emitted",
+        "subscribed_requests",
+        "window",
+        "window_pending",
+        "memo",
+    ] {
+        assert_eq!(
+            after.get(field),
+            before.get(field),
+            "a rejected delta changed '{field}'"
+        );
+    }
+
+    // The valid stream that follows answers exactly like the library, which never saw
+    // the bad delta: flips, their sequence numbers, redecided and skipped alike.
+    let mut flips_sent = 0;
+    for (i, delta) in workload.deltas.iter().enumerate() {
+        let update = library.push_delta(delta).expect("stream deltas apply");
+        let (status, reply) = post_delta(addr, id, delta);
+        assert_eq!(status, 200, "delta {i}: {reply}");
+        let expected = expected_delta_reply(update.change.is_noop(), &[], &update, flips_sent);
+        assert_reply_fields(&reply, &expected, &format!("delta {i}"));
+        flips_sent += update.flips.len() as u64;
+    }
+    assert!(flips_sent > 0, "the flip-heavy stream flips");
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn legacy_standing_and_a_subscription_share_one_apply() {
+    let db = CDatabase::new([
+        random_ctable("R", &params(41)),
+        random_gtable("S", &params(42)),
+    ]);
+    let right = CDatabase::new([
+        random_ctable("R", &params(51)),
+        random_gtable("S", &params(52)),
+    ]);
+    let yes = member_instance(&db, &params(61));
+    let no = non_member_instance(&db, &params(62));
+    let legacy = |db: &CDatabase| {
+        vec![
+            batch::DecisionRequest::Membership {
+                view: View::identity(db.clone()),
+                instance: yes.clone(),
+            },
+            batch::DecisionRequest::Containment {
+                left: View::identity(db.clone()),
+                right: View::identity(right.clone()),
+            },
+            batch::DecisionRequest::Certainty {
+                view: View::identity(db.clone()),
+                facts: yes.clone(),
+            },
+        ]
+    };
+    let subscribed = vec![
+        batch::DecisionRequest::Possibility {
+            view: View::identity(db.clone()),
+            facts: no.clone(),
+        },
+        batch::DecisionRequest::Certainty {
+            view: View::identity(db.clone()),
+            facts: yes.clone(),
+        },
+    ];
+    let mut library = server_session();
+    let _ = library.decide_all(&legacy(&db));
+    let _ = library.register_standing(&db, &subscribed);
+
+    let server = Server::start(quiet_config()).expect("server starts");
+    let addr = server.local_addr();
+    let id = register(addr, &db);
+    let right_id = register(addr, &right);
+    let decide = versioned(vec![
+        ("standing", Json::Bool(true)),
+        (
+            "requests",
+            Json::Array(vec![
+                request_json("membership", "instance", wire::encode_instance(&yes)),
+                request_json("containment", "right", Json::Int(right_id as i64)),
+                request_json("certainty", "facts", wire::encode_instance(&yes)),
+            ]),
+        ),
+    ]);
+    let response = client::post_json(addr, &format!("/v1/databases/{id}/decide"), &decide)
+        .expect("decide reachable");
+    assert_eq!(response.status, 200, "decide: {}", response.body);
+    let _ = subscribe(
+        addr,
+        id,
+        vec![
+            request_json("possibility", "facts", wire::encode_instance(&no)),
+            request_json("certainty", "facts", wire::encode_instance(&yes)),
+        ],
+    );
+
+    // Inserts, retractions and a no-op: each reply carries the legacy replay and the
+    // subscription's flips, from one apply on the server and two on the library.
+    let first = db.tables()[0].tuples()[0].clone();
+    let deltas = [
+        Delta::new().retract("R", 0),
+        Delta::new().insert("R", first),
+        Delta::new(),
+        Delta::new()
+            .insert(
+                "S",
+                CTuple::of_terms([Term::constant(0), Term::constant(1)]),
+            )
+            .retract("R", 0),
+    ];
+    let (mut prev, mut flips_sent) = (db.clone(), 0);
+    for (i, delta) in deltas.iter().enumerate() {
+        let redecision = library
+            .redecide_all(&prev, delta, &legacy(&prev))
+            .expect("library delta applies");
+        let update = library.push_delta(delta).expect("library delta applies");
+        let (status, reply) = post_delta(addr, id, delta);
+        assert_eq!(status, 200, "delta {i}: {reply}");
+        let expected = expected_delta_reply(
+            redecision.change.is_noop(),
+            &redecision.outcomes,
+            &update,
+            flips_sent,
+        );
+        assert_reply_fields(&reply, &expected, &format!("delta {i}"));
+        flips_sent += update.flips.len() as u64;
+        prev = redecision.db;
+    }
     server.shutdown();
     server.join();
 }
