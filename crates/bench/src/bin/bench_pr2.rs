@@ -14,6 +14,8 @@
 //! `--smoke` shrinks the workloads to a few rows and one iteration so CI can check the
 //! harness and the JSON shape in seconds.
 
+use pw_bench::report::{Args, Report, Row};
+use pw_bench::suite::PROBLEMS;
 use pw_core::{CDatabase, View};
 use pw_decide::batch::{decide_all_with, DecisionRequest};
 use pw_decide::{Budget, EngineConfig};
@@ -23,15 +25,6 @@ use pw_workloads::{
     random_gtable, random_itable, stringify_database, stringify_instance, TableParams,
 };
 use std::time::Instant;
-
-/// One measured row of the report.
-struct Measurement {
-    problem: &'static str,
-    workload: String,
-    mode: &'static str,
-    wall_ms: f64,
-    answers: Vec<String>,
-}
 
 /// A workload: a database plus the instances the requests are phrased against.
 struct Workload {
@@ -127,21 +120,13 @@ fn requests_for(problem: &str, w: &Workload) -> Vec<DecisionRequest> {
     }
 }
 
-const PROBLEMS: [&str; 5] = [
-    "membership",
-    "possibility",
-    "certainty",
-    "uniqueness",
-    "containment",
-];
-
 fn measure(
     problem: &'static str,
     workload: &Workload,
     mode: &'static str,
     cfg: &EngineConfig,
     iters: usize,
-) -> Measurement {
+) -> Row {
     let requests = requests_for(problem, workload);
     // Median-of-iters wall time; answers from the last run (they are deterministic).
     let mut times = Vec::with_capacity(iters);
@@ -158,136 +143,27 @@ fn measure(
             })
             .collect();
     }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    Measurement {
+    times.sort_by(f64::total_cmp);
+    Row::new(
         problem,
-        workload: workload.label.clone(),
+        &workload.label,
         mode,
-        wall_ms: times[times.len() / 2],
+        times[times.len() / 2],
         answers,
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn render_json(
-    measurements: &[Measurement],
-    threads: usize,
-    iters: usize,
-    smoke: bool,
-    baseline_raw: Option<&str>,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"BENCH_PR2\",\n");
-    out.push_str("  \"description\": \"per-problem wall time on string-heavy standard workloads (see crates/bench/src/bin/bench_pr2.rs)\",\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"iterations\": {iters},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let answers: Vec<String> = m
-            .answers
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"mode\": \"{}\", \"wall_ms\": {:.3}, \"answers\": [{}]}}{}\n",
-            m.problem,
-            json_escape(&m.workload),
-            m.mode,
-            m.wall_ms,
-            answers.join(", "),
-            if i + 1 == measurements.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]");
-    if let Some(raw) = baseline_raw {
-        out.push_str(",\n  \"baseline\": ");
-        // Embed the baseline run verbatim (it is a JSON document produced by this binary),
-        // indenting it to keep the composite readable.
-        let indented: Vec<String> = raw.trim().lines().map(|l| format!("  {l}")).collect();
-        out.push_str(indented.join("\n").trim_start());
-        // Per-row speedup table: baseline wall time / current wall time.
-        let base = parse_results(raw);
-        out.push_str(",\n  \"speedup_vs_baseline\": [\n");
-        let rows: Vec<String> = measurements
-            .iter()
-            .filter_map(|m| {
-                let key = (m.problem.to_owned(), m.workload.clone(), m.mode.to_owned());
-                base.iter().find(|(k, _)| *k == key).map(|(_, base_ms)| {
-                    format!(
-                        "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"mode\": \"{}\", \"baseline_ms\": {:.3}, \"current_ms\": {:.3}, \"speedup\": {:.2}}}",
-                        m.problem,
-                        json_escape(&m.workload),
-                        m.mode,
-                        base_ms,
-                        m.wall_ms,
-                        base_ms / m.wall_ms.max(1e-6),
-                    )
-                })
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ]");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-/// Minimal extraction of `(problem, workload, mode) -> wall_ms` rows from a prior run of
-/// this binary (full JSON parsing is overkill for a document we ourselves emit).
-fn parse_results(raw: &str) -> Vec<((String, String, String), f64)> {
-    let mut out = Vec::new();
-    for line in raw.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"problem\":") {
-            continue;
-        }
-        let field = |name: &str| -> Option<String> {
-            let tag = format!("\"{name}\": \"");
-            let start = line.find(&tag)? + tag.len();
-            let end = line[start..].find('"')? + start;
-            Some(line[start..end].to_owned())
-        };
-        let wall = || -> Option<f64> {
-            let tag = "\"wall_ms\": ";
-            let start = line.find(tag)? + tag.len();
-            let end = line[start..].find(',')? + start;
-            line[start..end].trim().parse().ok()
-        };
-        if let (Some(p), Some(w), Some(m), Some(ms)) =
-            (field("problem"), field("workload"), field("mode"), wall())
-        {
-            out.push(((p, w, m), ms));
-        }
-    }
-    out
+    )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR2.json".to_owned());
-    let baseline_raw = flag_value("--baseline").map(|p| {
-        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("cannot read baseline {p}: {e}"))
-    });
-
-    let iters = if smoke { 1 } else { 5 };
+    let args = Args::parse("BENCH_PR2.json");
+    let baseline = args.baseline();
+    let iters = if args.smoke { 1 } else { 5 };
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let budget = Budget(2_000_000);
     let sequential = EngineConfig::sequential(budget);
     let parallel = EngineConfig::with_threads(threads, budget);
 
-    let workloads = build_workloads(smoke);
-    let mut measurements = Vec::new();
+    let workloads = build_workloads(args.smoke);
+    let mut rows = Vec::new();
     for w in &workloads {
         for problem in PROBLEMS {
             for (mode, cfg) in [("sequential", &sequential), ("parallel", &parallel)] {
@@ -300,18 +176,21 @@ fn main() {
                     m.wall_ms,
                     m.answers.join(", ")
                 );
-                measurements.push(m);
+                rows.push(m);
             }
         }
     }
 
-    let json = render_json(
-        &measurements,
+    let mut report = Report::new(
+        "BENCH_PR2",
+        "per-problem wall time on string-heavy standard workloads (see crates/bench/src/bin/bench_pr2.rs)",
         threads,
         iters,
-        smoke,
-        baseline_raw.as_deref(),
+        args.smoke,
+        rows,
     );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    if let Some(baseline) = baseline {
+        report = report.against(baseline);
+    }
+    report.write(&args.out);
 }

@@ -20,22 +20,13 @@
 //! tens of milliseconds, so a single ~30 s sweep is exposed to machine drift that
 //! per-row minima across sweeps cancel out.
 
+use pw_bench::report::{Args, Report, Row, Tally};
+use pw_bench::suite::median_batch_ms;
 use pw_condition::{Term, VarGen};
 use pw_core::{CDatabase, CTable, View};
-use pw_decide::batch::{decide_all_with, DecisionRequest};
+use pw_decide::batch::DecisionRequest;
 use pw_decide::{Budget, EngineConfig};
 use pw_relational::{Instance, Relation, Tuple};
-use std::time::Instant;
-
-/// One measured row of the report.
-struct Measurement {
-    problem: &'static str,
-    workload: String,
-    mode: &'static str,
-    wall_ms: f64,
-    /// Aggregated answers, e.g. `"true:24"` — per-request listings would dwarf the report.
-    answers: Vec<String>,
-}
 
 /// A name-heavy workload: one database of `relations` small tables plus, per relation,
 /// the instances the requests are phrased against.
@@ -183,192 +174,33 @@ fn requests_for(problem: &str, w: &Workload) -> Vec<DecisionRequest> {
 
 const PROBLEMS: [&str; 3] = ["membership", "possibility", "certainty"];
 
-fn measure(
-    problem: &'static str,
-    workload: &Workload,
-    mode: &'static str,
-    cfg: &EngineConfig,
-    iters: usize,
-) -> Measurement {
-    let requests = requests_for(problem, workload);
-    // Warm up once (untimed), then pick an inner repeat count so every timed sample is
-    // at least ~2 ms — sub-millisecond batches are pure scheduler noise otherwise.
-    let warmup = Instant::now();
-    let _ = decide_all_with(&requests, cfg);
-    let once_ms = warmup.elapsed().as_secs_f64() * 1e3;
-    let reps = if iters == 1 {
-        1
-    } else {
-        ((2.0 / once_ms.max(1e-4)).ceil() as usize).clamp(1, 512)
-    };
-    let mut times = Vec::with_capacity(iters);
-    let mut answers = Vec::new();
-    for _ in 0..iters {
-        let start = Instant::now();
-        let mut outcomes = Vec::new();
-        for _ in 0..reps {
-            outcomes = decide_all_with(&requests, cfg);
-        }
-        times.push(start.elapsed().as_secs_f64() * 1e3 / reps as f64);
-        let mut yes = 0usize;
-        let mut no = 0usize;
-        let mut budget = 0usize;
-        for o in &outcomes {
-            match o.answer {
-                Ok(true) => yes += 1,
-                Ok(false) => no += 1,
-                Err(_) => budget += 1,
-            }
-        }
-        answers.clear();
-        if yes > 0 {
-            answers.push(format!("true:{yes}"));
-        }
-        if no > 0 {
-            answers.push(format!("false:{no}"));
-        }
-        if budget > 0 {
-            answers.push(format!("budget:{budget}"));
-        }
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    Measurement {
-        problem,
-        workload: workload.label.clone(),
-        mode,
-        wall_ms: times[times.len() / 2],
-        answers,
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn render_json(
-    measurements: &[Measurement],
-    threads: usize,
-    iters: usize,
-    smoke: bool,
-    baseline_raw: Option<&str>,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"BENCH_PR3\",\n");
-    out.push_str("  \"description\": \"batch wall time on name-lookup-heavy workloads: many small requests across many relations (see crates/bench/src/bin/bench_pr3.rs)\",\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"iterations\": {iters},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let answers: Vec<String> = m
-            .answers
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"mode\": \"{}\", \"wall_ms\": {:.3}, \"answers\": [{}]}}{}\n",
-            m.problem,
-            json_escape(&m.workload),
-            m.mode,
-            m.wall_ms,
-            answers.join(", "),
-            if i + 1 == measurements.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]");
-    if let Some(raw) = baseline_raw {
-        out.push_str(",\n  \"baseline\": ");
-        // Embed the baseline run verbatim (a JSON document produced by this binary).
-        let indented: Vec<String> = raw.trim().lines().map(|l| format!("  {l}")).collect();
-        out.push_str(indented.join("\n").trim_start());
-        let base = parse_results(raw);
-        out.push_str(",\n  \"speedup_vs_baseline\": [\n");
-        let rows: Vec<String> = measurements
-            .iter()
-            .filter_map(|m| {
-                let key = (m.problem.to_owned(), m.workload.clone(), m.mode.to_owned());
-                base.iter().find(|(k, _)| *k == key).map(|(_, base_ms)| {
-                    format!(
-                        "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"mode\": \"{}\", \"baseline_ms\": {:.3}, \"current_ms\": {:.3}, \"speedup\": {:.2}}}",
-                        m.problem,
-                        json_escape(&m.workload),
-                        m.mode,
-                        base_ms,
-                        m.wall_ms,
-                        base_ms / m.wall_ms.max(1e-6),
-                    )
-                })
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ]");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-/// Minimal extraction of `(problem, workload, mode) -> wall_ms` rows from a prior run of
-/// this binary (full JSON parsing is overkill for a document we ourselves emit).
-fn parse_results(raw: &str) -> Vec<((String, String, String), f64)> {
-    let mut out = Vec::new();
-    for line in raw.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"problem\":") {
-            continue;
-        }
-        let field = |name: &str| -> Option<String> {
-            let tag = format!("\"{name}\": \"");
-            let start = line.find(&tag)? + tag.len();
-            let end = line[start..].find('"')? + start;
-            Some(line[start..end].to_owned())
-        };
-        let wall = || -> Option<f64> {
-            let tag = "\"wall_ms\": ";
-            let start = line.find(tag)? + tag.len();
-            let end = line[start..].find(',')? + start;
-            line[start..end].trim().parse().ok()
-        };
-        if let (Some(p), Some(w), Some(m), Some(ms)) =
-            (field("problem"), field("workload"), field("mode"), wall())
-        {
-            out.push(((p, w, m), ms));
-        }
-    }
-    out
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR3.json".to_owned());
-    let baseline_raw = flag_value("--baseline").map(|p| {
-        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("cannot read baseline {p}: {e}"))
-    });
-
-    let iters = if smoke { 1 } else { 7 };
+    let args = Args::parse("BENCH_PR3.json");
+    let baseline = args.baseline();
+    let iters = if args.smoke { 1 } else { 7 };
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let budget = Budget(2_000_000);
     let sequential = EngineConfig::sequential(budget);
     let parallel = EngineConfig::with_threads(threads, budget);
 
-    let sweeps: usize = flag_value("--sweeps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let workloads = build_workloads(smoke);
-    let mut measurements: Vec<Measurement> = Vec::new();
+    // `--sweeps N` keeps each row's minimum across N whole sweeps (see the module doc).
+    let sweeps = args.sweeps(1);
+    let workloads = build_workloads(args.smoke);
+    let mut rows: Vec<Row> = Vec::new();
     for sweep in 0..sweeps {
         let mut row = 0;
         for w in &workloads {
             for problem in PROBLEMS {
                 for (mode, cfg) in [("sequential", &sequential), ("parallel", &parallel)] {
-                    let m = measure(problem, w, mode, cfg, iters);
+                    let requests = requests_for(problem, w);
+                    let (wall_ms, outcomes) = median_batch_ms(&requests, cfg, iters);
+                    let m = Row::new(
+                        problem,
+                        &w.label,
+                        mode,
+                        wall_ms,
+                        Tally::of(&outcomes).nonzero(),
+                    );
                     eprintln!(
                         "sweep {}/{sweeps}: {:<12} {:<14} {:<10} {:>10.3} ms  [{}]",
                         sweep + 1,
@@ -379,9 +211,9 @@ fn main() {
                         m.answers.join(", ")
                     );
                     if sweep == 0 {
-                        measurements.push(m);
-                    } else if m.wall_ms < measurements[row].wall_ms {
-                        measurements[row] = m;
+                        rows.push(m);
+                    } else if m.wall_ms < rows[row].wall_ms {
+                        rows[row] = m;
                     }
                     row += 1;
                 }
@@ -389,13 +221,16 @@ fn main() {
         }
     }
 
-    let json = render_json(
-        &measurements,
+    let mut report = Report::new(
+        "BENCH_PR3",
+        "batch wall time on name-lookup-heavy workloads: many small requests across many relations (see crates/bench/src/bin/bench_pr3.rs)",
         threads,
         iters,
-        smoke,
-        baseline_raw.as_deref(),
+        args.smoke,
+        rows,
     );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    if let Some(baseline) = baseline {
+        report = report.against(baseline);
+    }
+    report.write(&args.out);
 }

@@ -15,7 +15,7 @@
 //! decides each mutated database from scratch, the `incremental` mode re-decides through
 //! one long-lived session.  Answers must be bit-identical between the modes — the report
 //! records `answers_match` per row, and the `incremental_guard` table (consumed by
-//! `tools/check_bench.rs` in CI) enforces both the match and a per-row speedup floor.
+//! `check-bench` in CI) enforces both the match and a per-row speedup floor.
 //!
 //! Usage:
 //!   cargo run --release --bin bench-pr5 -- [--smoke] [--sweeps N] [--out FILE]
@@ -24,33 +24,15 @@
 //! harness and the JSON shape in seconds (the smoke floor only asserts "not slower than
 //! from-scratch"; the committed full run carries the real ≥10× floor).
 
+use pw_bench::report::{ms, object, ratio, speedup_row, Args, Report, Row, Tally};
+use pw_bench::suite::same_verdicts;
 use pw_core::{CDatabase, View};
 use pw_decide::batch::{decide_all_with, DecisionRequest};
 use pw_decide::{Budget, DecisionOutcome, EngineConfig, Session};
 use pw_relational::{Constant, Instance, Relation, Tuple};
+use pw_serve::json::Json;
 use pw_workloads::{decoupled_multirelation, member_instance, stable_delta_stream, TableParams};
 use std::time::Instant;
-
-/// One measured row of the report.
-struct Measurement {
-    problem: &'static str,
-    workload: String,
-    mode: &'static str,
-    /// Total wall time across the K re-decisions of the stream.
-    wall_ms: f64,
-    /// Aggregated answers across all deltas, e.g. `"true:8, false:4"`.
-    answers: Vec<String>,
-}
-
-/// One incremental-guard row: the fresh/incremental pair plus the CI floor.
-struct GuardRow {
-    problem: &'static str,
-    workload: String,
-    fresh_ms: f64,
-    redecide_ms: f64,
-    floor: f64,
-    answers_match: bool,
-}
 
 /// The fixed request instances of one workload (standing queries of the stream).
 struct Workload {
@@ -295,35 +277,11 @@ fn requests_for(problem: &str, w: &Workload, db: &CDatabase) -> Vec<DecisionRequ
     }
 }
 
-fn aggregate_answers(outcomes: &[DecisionOutcome], tally: &mut (usize, usize, usize)) {
-    for o in outcomes {
-        match o.answer {
-            Ok(true) => tally.0 += 1,
-            Ok(false) => tally.1 += 1,
-            Err(_) => tally.2 += 1,
-        }
-    }
-}
-
-fn render_answers((yes, no, budget): (usize, usize, usize)) -> Vec<String> {
-    let mut out = Vec::new();
-    if yes > 0 {
-        out.push(format!("true:{yes}"));
-    }
-    if no > 0 {
-        out.push(format!("false:{no}"));
-    }
-    if budget > 0 {
-        out.push(format!("budget:{budget}"));
-    }
-    out
-}
-
 struct StreamResult {
     fresh_ms: f64,
     redecide_ms: f64,
-    fresh_answers: (usize, usize, usize),
-    incr_answers: (usize, usize, usize),
+    fresh_answers: Tally,
+    incr_answers: Tally,
     answers_match: bool,
 }
 
@@ -332,7 +290,7 @@ fn run_stream(problem: &'static str, w: &Workload, cfg: &EngineConfig) -> Stream
     // Fresh mode: apply each delta, then decide the mutated database from scratch —
     // engine, coupling graph, base stores and every group search rebuilt per mutation.
     let mut fresh_ms = 0.0;
-    let mut fresh_answers = (0, 0, 0);
+    let mut fresh_answers = Tally::default();
     let mut fresh_outcomes: Vec<Vec<DecisionOutcome>> = Vec::new();
     let mut cur = w.base.clone();
     for delta in &w.deltas {
@@ -341,7 +299,7 @@ fn run_stream(problem: &'static str, w: &Workload, cfg: &EngineConfig) -> Stream
         let start = Instant::now();
         let outcomes = decide_all_with(&requests, cfg);
         fresh_ms += start.elapsed().as_secs_f64() * 1e3;
-        aggregate_answers(&outcomes, &mut fresh_answers);
+        fresh_answers.add(&outcomes);
         fresh_outcomes.push(outcomes);
         cur = next;
     }
@@ -353,7 +311,7 @@ fn run_stream(problem: &'static str, w: &Workload, cfg: &EngineConfig) -> Stream
     let mut cur = w.base.clone();
     let _ = session.decide_all(&requests_for(problem, w, &cur));
     let mut redecide_ms = 0.0;
-    let mut incr_answers = (0, 0, 0);
+    let mut incr_answers = Tally::default();
     let mut answers_match = true;
     for (i, delta) in w.deltas.iter().enumerate() {
         let requests = requests_for(problem, w, &cur);
@@ -362,17 +320,8 @@ fn run_stream(problem: &'static str, w: &Workload, cfg: &EngineConfig) -> Stream
             .redecide_all(&cur, delta, &requests)
             .expect("stream deltas apply in sequence");
         redecide_ms += start.elapsed().as_secs_f64() * 1e3;
-        aggregate_answers(&redecision.outcomes, &mut incr_answers);
-        let fresh = &fresh_outcomes[i];
-        if redecision.outcomes.len() != fresh.len()
-            || redecision
-                .outcomes
-                .iter()
-                .zip(fresh)
-                .any(|(a, b)| a.answer != b.answer || a.strategy != b.strategy)
-        {
-            answers_match = false;
-        }
+        incr_answers.add(&redecision.outcomes);
+        answers_match &= same_verdicts(&redecision.outcomes, &fresh_outcomes[i]);
         cur = redecision.db;
     }
 
@@ -385,89 +334,10 @@ fn run_stream(problem: &'static str, w: &Workload, cfg: &EngineConfig) -> Stream
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn render_json(
-    measurements: &[Measurement],
-    guard: &[GuardRow],
-    iters: usize,
-    smoke: bool,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"BENCH_PR5\",\n");
-    out.push_str("  \"description\": \"decide/mutate/re-decide on mutation-stream workloads: from-scratch decide vs delta-aware session re-decision (see crates/bench/src/bin/bench_pr5.rs)\",\n");
-    out.push_str("  \"threads\": 1,\n");
-    out.push_str(&format!("  \"iterations\": {iters},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let answers: Vec<String> = m
-            .answers
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"mode\": \"{}\", \"wall_ms\": {:.3}, \"answers\": [{}]}}{}\n",
-            m.problem,
-            json_escape(&m.workload),
-            m.mode,
-            m.wall_ms,
-            answers.join(", "),
-            if i + 1 == measurements.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    // The CI guard table: answers must match between the modes, and each row's
-    // fresh/redecide speedup must clear its embedded floor.
-    out.push_str("  \"incremental_guard\": [\n");
-    for (i, g) in guard.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"fresh_ms\": {:.3}, \"redecide_ms\": {:.3}, \"speedup\": {:.2}, \"floor\": {}, \"answers_match\": {}}}{}\n",
-            g.problem,
-            json_escape(&g.workload),
-            g.fresh_ms,
-            g.redecide_ms,
-            g.fresh_ms / g.redecide_ms.max(1e-6),
-            g.floor,
-            g.answers_match,
-            if i + 1 == guard.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    // The standard committed-report table (`check-bench` floor 0.9): the from-scratch
-    // path is this report's embedded baseline, the incremental path the current mode.
-    out.push_str("  \"speedup_vs_baseline\": [\n");
-    for (i, g) in guard.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"mode\": \"incremental\", \"baseline_ms\": {:.3}, \"current_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            g.problem,
-            json_escape(&g.workload),
-            g.fresh_ms,
-            g.redecide_ms,
-            g.fresh_ms / g.redecide_ms.max(1e-6),
-            if i + 1 == guard.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR5.json".to_owned());
-    let sweeps: usize = flag_value("--sweeps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 1 } else { 3 })
-        .max(1);
+    let args = Args::parse("BENCH_PR5.json");
+    let smoke = args.smoke;
+    let sweeps = args.sweeps(if smoke { 1 } else { 3 });
     // Single-threaded searches: the comparison is about *work avoided*, not about
     // parallel speedup, and sequential timings are the stable ones.  Ample budget so
     // both modes complete rather than exhaust.
@@ -477,8 +347,9 @@ fn main() {
     let floor = if smoke { 0.9 } else { 10.0 };
 
     let workloads = build_workloads(smoke);
-    let mut measurements: Vec<Measurement> = Vec::new();
-    let mut guard: Vec<GuardRow> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
+    let mut guard: Vec<Json> = Vec::new();
+    let mut speedups: Vec<Json> = Vec::new();
     for (problems, w) in &workloads {
         for &problem in problems {
             let mut best: Option<StreamResult> = None;
@@ -515,32 +386,51 @@ fn main() {
                 }
             }
             let r = best.expect("at least one sweep");
-            measurements.push(Measurement {
+            rows.push(Row::new(
                 problem,
-                workload: w.label.clone(),
-                mode: "fresh",
-                wall_ms: r.fresh_ms,
-                answers: render_answers(r.fresh_answers),
-            });
-            measurements.push(Measurement {
+                &w.label,
+                "fresh",
+                r.fresh_ms,
+                r.fresh_answers.nonzero(),
+            ));
+            rows.push(Row::new(
                 problem,
-                workload: w.label.clone(),
-                mode: "incremental",
-                wall_ms: r.redecide_ms,
-                answers: render_answers(r.incr_answers),
-            });
-            guard.push(GuardRow {
+                &w.label,
+                "incremental",
+                r.redecide_ms,
+                r.incr_answers.nonzero(),
+            ));
+            // The guard: answers must match between the modes, and the
+            // fresh/redecide speedup must clear the embedded floor.
+            guard.push(object([
+                ("problem", Json::str(problem)),
+                ("workload", Json::str(&w.label)),
+                ("fresh_ms", ms(r.fresh_ms)),
+                ("redecide_ms", ms(r.redecide_ms)),
+                ("speedup", ratio(r.fresh_ms / r.redecide_ms.max(1e-6))),
+                ("floor", Json::Float(floor)),
+                ("answers_match", Json::Bool(r.answers_match)),
+            ]));
+            // The from-scratch path is this report's embedded baseline.
+            speedups.push(speedup_row(
                 problem,
-                workload: w.label.clone(),
-                fresh_ms: r.fresh_ms,
-                redecide_ms: r.redecide_ms,
-                floor,
-                answers_match: r.answers_match,
-            });
+                &w.label,
+                "incremental",
+                r.fresh_ms,
+                r.redecide_ms,
+            ));
         }
     }
 
-    let json = render_json(&measurements, &guard, sweeps, smoke);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    Report::new(
+        "BENCH_PR5",
+        "decide/mutate/re-decide on mutation-stream workloads: from-scratch decide vs delta-aware session re-decision (see crates/bench/src/bin/bench_pr5.rs)",
+        1,
+        sweeps,
+        smoke,
+        rows,
+    )
+    .table("incremental_guard", guard)
+    .table("speedup_vs_baseline", speedups)
+    .write(&args.out);
 }

@@ -12,7 +12,7 @@
 //! under the plain configuration and once under a fully *armed* configuration (a far
 //! wall-clock deadline, a live-but-never-cancelled token, and a bounded-but-ample
 //! memo capacity, so every hardened code path executes without ever firing) — and
-//! emits a `robustness_guard` table (consumed by `tools/check_bench.rs` in CI)
+//! emits a `robustness_guard` table (consumed by `check-bench` in CI)
 //! aggregated over the suite, embedding the allowed ceiling: the armed session may
 //! cost at most `ceiling ×` the plain session on the mixed batch.  The per-request
 //! `catch_unwind` boundary is unconditional (isolation must not be opt-in), so both
@@ -31,173 +31,14 @@
 //! the smoke ceiling is relaxed (`3.0`) while the committed full run carries the real
 //! `1.05` acceptance ceiling.
 
-use pw_core::{CDatabase, View};
-use pw_decide::batch::{decide_all_with, DecisionRequest};
-use pw_decide::{Budget, CancelToken, DecisionOutcome, EngineConfig};
-use pw_relational::{Constant, Instance, Relation, Tuple};
-use pw_workloads::{
-    decoupled_multirelation, member_instance, non_member_instance, random_codd_table,
-    random_ctable, TableParams,
+use pw_bench::report::{ms, object, ratio, speedup_row, Args, Report, Row, Tally};
+use pw_bench::suite::{
+    median_by, same_verdicts, serving_requests, serving_workloads, time_pair, PROBLEMS,
 };
+use pw_decide::{Budget, CancelToken, DecisionOutcome, EngineConfig};
+use pw_serve::json::Json;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// One measured row of the report.
-struct Measurement {
-    problem: &'static str,
-    workload: &'static str,
-    mode: &'static str,
-    /// Mean wall time of one `decide_all_with` over the row's requests.
-    wall_ms: f64,
-    /// Aggregated answers, e.g. `"true:1, false:1, exhausted:0"`.
-    answers: Vec<String>,
-}
-
-/// One robustness-overhead row: the plain/armed pair plus the CI ceiling.
-///
-/// One enforced row, aggregated over the whole suite: the amortized limit check is a
-/// per-tick property of the hot loop, so the guarded claim is "an armed session costs
-/// at most `ceiling ×` a plain session across the mixed workload suite".  Per-problem
-/// ratios stay visible in `results` — a micro-second polynomial decide can show a
-/// noisy individual ratio while adding only additive nanoseconds; the wall-clock
-/// ceiling is meaningful over batches where search work exists, which is what the
-/// suite row measures.
-struct OverheadRow {
-    problem: &'static str,
-    workload: &'static str,
-    plain_ms: f64,
-    hardened_ms: f64,
-    ceiling: f64,
-    /// Armed answers and strategies are bit-identical to the plain ones.
-    answers_match: bool,
-}
-
-/// One benchmark database together with derived request ingredients.
-struct Workload {
-    label: &'static str,
-    db: CDatabase,
-    member: Instance,
-    non_member: Instance,
-    /// A small sub-instance of `member` (a possibility pattern).
-    pattern: Instance,
-    /// `pattern` with one unproducible fact added.
-    poisoned: Instance,
-}
-
-fn build_workload(label: &'static str, db: CDatabase, params: &TableParams) -> Workload {
-    let member = member_instance(&db, params);
-    let non_member = non_member_instance(&db, params);
-    let mut pattern = Instance::new();
-    let mut poisoned = Instance::new();
-    let mut poison_pending = true;
-    for (name, rel) in member.iter() {
-        let mut p = Relation::empty(rel.arity());
-        for fact in rel.iter().take(2) {
-            p.insert(fact.clone()).expect("arity preserved");
-        }
-        pattern.insert_relation(name.clone(), p.clone());
-        if poison_pending {
-            // The poison fact: constants far outside the generator's pool, so no
-            // ground row produces it and only null-valued components can absorb it.
-            let fact = Tuple::new((0..p.arity()).map(|i| Constant::Int(9_000 + i as i64)));
-            p.insert(fact).expect("arity preserved");
-            poison_pending = false;
-        }
-        poisoned.insert_relation(name.clone(), p);
-    }
-    Workload {
-        label,
-        db,
-        member,
-        non_member,
-        pattern,
-        poisoned,
-    }
-}
-
-fn build_workloads(smoke: bool) -> Vec<Workload> {
-    // Same per-class sizes as bench-pr6: Codd decides are polynomial, so the table is
-    // large; c-table decides are NP/coNP searches that dominate at small sizes.
-    let codd = TableParams {
-        rows: if smoke { 8 } else { 256 },
-        arity: 2,
-        constants: 4,
-        null_density: 0.4,
-        seed: 2077,
-    };
-    let ctable = TableParams {
-        rows: if smoke { 8 } else { 10 },
-        ..codd
-    };
-    let shard = TableParams {
-        rows: if smoke { 4 } else { 8 },
-        ..codd
-    };
-    vec![
-        build_workload(
-            "codd",
-            CDatabase::single(random_codd_table("R", &codd)),
-            &codd,
-        ),
-        build_workload(
-            "ctable",
-            CDatabase::single(random_ctable("R", &ctable)),
-            &ctable,
-        ),
-        build_workload(
-            "sharded",
-            decoupled_multirelation(if smoke { 3 } else { 4 }, &shard),
-            &shard,
-        ),
-    ]
-}
-
-/// The batch of one (problem, workload) pair: a yes-leaning and a no-leaning request
-/// wherever the workload offers both.
-fn requests_for(problem: &str, w: &Workload) -> Vec<DecisionRequest> {
-    let view = View::identity(w.db.clone());
-    match problem {
-        "membership" => vec![
-            DecisionRequest::Membership {
-                view: view.clone(),
-                instance: w.member.clone(),
-            },
-            DecisionRequest::Membership {
-                view,
-                instance: w.non_member.clone(),
-            },
-        ],
-        "possibility" => vec![
-            DecisionRequest::Possibility {
-                view: view.clone(),
-                facts: w.pattern.clone(),
-            },
-            DecisionRequest::Possibility {
-                view,
-                facts: w.poisoned.clone(),
-            },
-        ],
-        "certainty" => vec![
-            DecisionRequest::Certainty {
-                view: view.clone(),
-                facts: Instance::new(),
-            },
-            DecisionRequest::Certainty {
-                view,
-                facts: w.pattern.clone(),
-            },
-        ],
-        "uniqueness" => vec![DecisionRequest::Uniqueness {
-            view,
-            instance: w.member.clone(),
-        }],
-        "containment" => vec![DecisionRequest::Containment {
-            left: view.clone(),
-            right: view,
-        }],
-        other => unreachable!("unknown problem {other}"),
-    }
-}
+use std::time::Duration;
 
 /// The armed configuration: every hardened code path executes, none ever fires.  The
 /// two-hour deadline polls the wall clock on every amortized check without plausibly
@@ -217,175 +58,40 @@ struct PairResult {
     answers_match: bool,
 }
 
-/// Time one batch `iters` times and return (mean ms per batch, last outcomes).
-fn time_batch(
-    requests: &[DecisionRequest],
-    cfg: &EngineConfig,
-    iters: usize,
-) -> (f64, Vec<DecisionOutcome>) {
-    let start = Instant::now();
-    let mut last = Vec::new();
-    for _ in 0..iters {
-        last = decide_all_with(requests, cfg);
+impl PairResult {
+    fn overhead(&self) -> f64 {
+        self.hardened_ms / self.plain_ms.max(1e-6)
     }
-    (start.elapsed().as_secs_f64() * 1e3 / iters as f64, last)
-}
-
-fn run_pair(
-    problem: &'static str,
-    w: &Workload,
-    cfg: &EngineConfig,
-    max_iters: usize,
-) -> PairResult {
-    let requests = requests_for(problem, w);
-    let hardened_cfg = arm(cfg);
-    // Calibrate the repeat count off one plain batch: micro-second batches repeat up
-    // to `max_iters` times for a stable mean, while a batch that already costs tens
-    // of milliseconds is its own stable measurement and repeats only a few times.
-    let calibration = Instant::now();
-    decide_all_with(&requests, cfg);
-    let batch_ms = calibration.elapsed().as_secs_f64() * 1e3;
-    let max_iters = max_iters.max(1);
-    let iters = ((20.0 / batch_ms.max(1e-6)) as usize).clamp(3.min(max_iters), max_iters);
-    let (plain_ms, plain) = time_batch(&requests, cfg, iters);
-    let (hardened_ms, hardened) = time_batch(&requests, &hardened_cfg, iters);
-
-    let answers_match = plain.len() == hardened.len()
-        && plain
-            .iter()
-            .zip(&hardened)
-            .all(|(p, h)| p.answer == h.answer && p.strategy == h.strategy);
-    PairResult {
-        plain_ms,
-        hardened_ms,
-        plain_answers: plain,
-        answers_match,
-    }
-}
-
-fn render_answers(outcomes: &[DecisionOutcome]) -> Vec<String> {
-    let (mut t, mut f, mut x) = (0usize, 0usize, 0usize);
-    for o in outcomes {
-        match o.answer {
-            Ok(true) => t += 1,
-            Ok(false) => f += 1,
-            Err(_) => x += 1,
-        }
-    }
-    vec![format!("true:{t}, false:{f}, exhausted:{x}")]
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn render_json(
-    measurements: &[Measurement],
-    overhead: &[OverheadRow],
-    iters: usize,
-    smoke: bool,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"BENCH_PR7\",\n");
-    out.push_str("  \"description\": \"serving-hardening overhead: decide_all with the resilience layer disarmed vs fully armed (deadline + cancel token + bounded memo, none firing), answers audited bit-identical (see crates/bench/src/bin/bench_pr7.rs)\",\n");
-    out.push_str("  \"threads\": 1,\n");
-    out.push_str(&format!("  \"iterations\": {iters},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let answers: Vec<String> = m
-            .answers
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"mode\": \"{}\", \"wall_ms\": {:.3}, \"answers\": [{}]}}{}\n",
-            m.problem,
-            m.workload,
-            m.mode,
-            m.wall_ms,
-            answers.join(", "),
-            if i + 1 == measurements.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    // The CI guard table: armed ≤ ceiling × plain, and the armed run's answers and
-    // strategies were audited bit-identical to the plain run's.
-    out.push_str("  \"robustness_guard\": [\n");
-    for (i, r) in overhead.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"plain_ms\": {:.3}, \"hardened_ms\": {:.3}, \"overhead\": {:.2}, \"ceiling\": {}, \"answers_match\": {}}}{}\n",
-            r.problem,
-            r.workload,
-            r.plain_ms,
-            r.hardened_ms,
-            r.hardened_ms / r.plain_ms.max(1e-6),
-            r.ceiling,
-            r.answers_match,
-            if i + 1 == overhead.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    // The standard committed-report table (`check-bench` floor 0.9): the ceiling-scaled
-    // plain run is the budget, the armed run must fit inside it — speedup ≥ 1.0 exactly
-    // when the overhead row clears its ceiling.
-    out.push_str("  \"speedup_vs_baseline\": [\n");
-    for (i, r) in overhead.iter().enumerate() {
-        let budget_ms = r.plain_ms * r.ceiling;
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"mode\": \"hardened\", \"baseline_ms\": {:.3}, \"current_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            r.problem,
-            r.workload,
-            budget_ms,
-            r.hardened_ms,
-            budget_ms / r.hardened_ms.max(1e-6),
-            if i + 1 == overhead.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR7.json".to_owned());
-    let sweeps: usize = flag_value("--sweeps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 1 } else { 5 })
-        .max(1);
+    let args = Args::parse("BENCH_PR7.json");
+    let smoke = args.smoke;
+    let sweeps = args.sweeps(if smoke { 1 } else { 5 });
     let iters = if smoke { 2 } else { 40 };
     // Single-threaded decides: the comparison is about the armed limit checks riding
     // on an identical search, and sequential timings are the stable ones.
     let cfg = EngineConfig::sequential(Budget(20_000_000));
     let ceiling = if smoke { 3.0 } else { 1.05 };
 
-    let problems = [
-        "membership",
-        "possibility",
-        "certainty",
-        "uniqueness",
-        "containment",
-    ];
-    let workloads = build_workloads(smoke);
-    let mut measurements: Vec<Measurement> = Vec::new();
-    let mut overhead: Vec<OverheadRow> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
     let (mut sum_plain, mut sum_hardened) = (0.0f64, 0.0f64);
     let mut suite_matches = true;
-    for w in &workloads {
-        for problem in problems {
-            // Median overhead across the sweeps: the armed delta is the signal, and a
-            // single descheduled sample must not decide the committed number in either
-            // direction — but an answer mismatch in *any* sweep always dominates.
-            let mut results: Vec<PairResult> = (0..sweeps)
+    for w in &serving_workloads(smoke, 2077) {
+        for problem in PROBLEMS {
+            let requests = serving_requests(problem, w);
+            // Median overhead across the sweeps: the armed delta is the signal — but an
+            // answer mismatch in *any* sweep always dominates.
+            let results: Vec<PairResult> = (0..sweeps)
                 .map(|sweep| {
-                    let r = run_pair(problem, w, &cfg, iters);
+                    let [(plain_ms, plain), (hardened_ms, hardened)] =
+                        time_pair(&requests, &cfg, &arm(&cfg), 3, iters);
+                    let r = PairResult {
+                        plain_ms,
+                        hardened_ms,
+                        answers_match: same_verdicts(&plain, &hardened),
+                        plain_answers: plain,
+                    };
                     eprintln!(
                         "sweep {}/{sweeps}: {:<12} {:<8} plain {:>9.3} ms  hardened {:>9.3} ms  ({:.2}x, answers_match: {})",
                         sweep + 1,
@@ -393,48 +99,65 @@ fn main() {
                         w.label,
                         r.plain_ms,
                         r.hardened_ms,
-                        r.hardened_ms / r.plain_ms.max(1e-6),
+                        r.overhead(),
                         r.answers_match,
                     );
                     r
                 })
                 .collect();
-            let all_match = results.iter().all(|r| r.answers_match);
-            results.sort_by(|a, b| {
-                let oa = a.hardened_ms / a.plain_ms.max(1e-6);
-                let ob = b.hardened_ms / b.plain_ms.max(1e-6);
-                oa.total_cmp(&ob)
-            });
-            let r = results.swap_remove(results.len() / 2);
-            measurements.push(Measurement {
+            suite_matches &= results.iter().all(|r| r.answers_match);
+            let r = median_by(results, PairResult::overhead);
+            let answers = Tally::of(&r.plain_answers).summary();
+            rows.push(Row::new(
                 problem,
-                workload: w.label,
-                mode: "plain",
-                wall_ms: r.plain_ms,
-                answers: render_answers(&r.plain_answers),
-            });
-            measurements.push(Measurement {
+                w.label,
+                "plain",
+                r.plain_ms,
+                answers.clone(),
+            ));
+            rows.push(Row::new(
                 problem,
-                workload: w.label,
-                mode: "hardened",
-                wall_ms: r.hardened_ms,
-                answers: render_answers(&r.plain_answers),
-            });
+                w.label,
+                "hardened",
+                r.hardened_ms,
+                answers,
+            ));
             sum_plain += r.plain_ms;
             sum_hardened += r.hardened_ms;
-            suite_matches &= all_match;
         }
     }
-    overhead.push(OverheadRow {
-        problem: "all",
-        workload: "suite",
-        plain_ms: sum_plain,
-        hardened_ms: sum_hardened,
-        ceiling,
-        answers_match: suite_matches,
-    });
 
-    let json = render_json(&measurements, &overhead, iters, smoke);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    // The guard: armed ≤ ceiling × plain, answers and strategies bit-identical.  It is
+    // one row over the whole suite because the amortized limit check is a per-tick
+    // property of the hot loop; a micro-second polynomial decide shows a noisy ratio
+    // while adding only nanoseconds, so per-problem ratios stay visible in `results`
+    // only.  The speedup table treats the ceiling-scaled plain run as the budget the
+    // armed run must fit: speedup ≥ 1.0 exactly when the guard holds.
+    let guard = object([
+        ("problem", Json::str("all")),
+        ("workload", Json::str("suite")),
+        ("plain_ms", ms(sum_plain)),
+        ("hardened_ms", ms(sum_hardened)),
+        ("overhead", ratio(sum_hardened / sum_plain.max(1e-6))),
+        ("ceiling", Json::Float(ceiling)),
+        ("answers_match", Json::Bool(suite_matches)),
+    ]);
+    let speedup = speedup_row(
+        "all",
+        "suite",
+        "hardened",
+        sum_plain * ceiling,
+        sum_hardened,
+    );
+    Report::new(
+        "BENCH_PR7",
+        "serving-hardening overhead: decide_all with the resilience layer disarmed vs fully armed (deadline + cancel token + bounded memo, none firing), answers audited bit-identical (see crates/bench/src/bin/bench_pr7.rs)",
+        1,
+        iters,
+        smoke,
+        rows,
+    )
+    .table("robustness_guard", vec![guard])
+    .table("speedup_vs_baseline", vec![speedup])
+    .write(&args.out);
 }

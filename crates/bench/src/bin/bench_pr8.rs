@@ -19,7 +19,7 @@
 //! Each guard row times one (problem, workload) batch under both schedulers (same
 //! 8-thread configuration, same seed, `without_work_stealing()` pinning the old path)
 //! and audits answer/strategy equality; the `stealing_guard` table (consumed by
-//! `tools/check_bench.rs` in CI) embeds each row's floor.  The balanced families are
+//! `check-bench` in CI) embeds each row's floor.  The balanced families are
 //! aggregated per workload across all five problems — their individual decides are
 //! micro-second polynomial paths where a wall-clock ratio is noise, while the suite
 //! sum is a stable parity measurement.
@@ -32,47 +32,15 @@
 //! a cold CI machine are noisy, and a tiny skewed tree has nothing worth stealing),
 //! and prints the work-stealing `EngineStats` counters from one live skewed decide.
 
-use pw_core::{CDatabase, View};
-use pw_decide::batch::{decide_all_with, DecisionRequest};
+use pw_bench::report::{ms, object, ratio, speedup_row, Args, Report, Row, Tally};
+use pw_bench::suite::{median_by, same_verdicts, serving_workloads, time_pair};
+use pw_core::View;
+use pw_decide::batch::DecisionRequest;
 use pw_decide::{membership, possibility, Budget, DecisionOutcome, Engine, EngineConfig};
 use pw_relational::Instance;
-use pw_workloads::{
-    coupled_heavy_membership, decoupled_multirelation, member_instance, non_member_instance,
-    random_codd_table, random_ctable, skewed_membership, skewed_possibility, SkewedParams,
-    TableParams,
-};
+use pw_serve::json::Json;
+use pw_workloads::{coupled_heavy_membership, skewed_membership, skewed_possibility, SkewedParams};
 use std::time::Instant;
-
-/// One measured row of the report.
-struct Measurement {
-    problem: &'static str,
-    workload: &'static str,
-    mode: &'static str,
-    /// Mean wall time of one `decide_all_with` over the row's requests.
-    wall_ms: f64,
-    /// Aggregated answers, e.g. `"true:1, false:1, exhausted:0"`.
-    answers: Vec<String>,
-}
-
-/// One stealing-guard row: the static/stealing pair plus the CI floor.
-struct GuardRow {
-    problem: &'static str,
-    workload: &'static str,
-    static_ms: f64,
-    stealing_ms: f64,
-    /// What `static_ms`/`stealing_ms` measure: `"wall"` on the balanced parity rows
-    /// (total work must not regress), `"critical_path"` on the skewed rows — the
-    /// busiest single worker's on-CPU time, i.e. the wall clock the schedule achieves
-    /// on hardware with a free core per worker.  A wall-clock floor of 4× at 8
-    /// threads is unmeasurable on a host the OS gives fewer cores; the critical path
-    /// is the same quantity made host-independent (see `EngineStats::busy_max_ns`).
-    metric: &'static str,
-    /// Minimum allowed static/stealing speedup (4.0 on the committed skewed rows,
-    /// 0.9 parity on the balanced rows, relaxed in smoke runs).
-    floor: f64,
-    /// Stealing answers and strategies are bit-identical to the static ones.
-    answers_match: bool,
-}
 
 /// One (problem, workload, batch) cell of the suite.
 struct Cell {
@@ -115,106 +83,67 @@ fn skewed_cells(params: &SkewedParams) -> Vec<Cell> {
     vec![member, poss, coupled]
 }
 
-/// The balanced parity cells: the bench-pr7 workload families across all five
-/// problems, one cell per (problem, workload) pair.
+/// The balanced parity cells: the serving workload families (bench-pr7's seed) across
+/// all five problems, one cell per (problem, workload) pair.
 fn parity_cells(smoke: bool) -> Vec<Cell> {
-    let codd = TableParams {
-        rows: if smoke { 8 } else { 256 },
-        arity: 2,
-        constants: 4,
-        null_density: 0.4,
-        seed: 2077,
-    };
-    let ctable = TableParams {
-        rows: if smoke { 8 } else { 10 },
-        ..codd
-    };
-    let shard = TableParams {
-        rows: if smoke { 4 } else { 8 },
-        ..codd
-    };
-    let families: Vec<(&'static str, CDatabase, TableParams)> = vec![
-        (
-            "codd",
-            CDatabase::single(random_codd_table("R", &codd)),
-            codd,
-        ),
-        (
-            "ctable",
-            CDatabase::single(random_ctable("R", &ctable)),
-            ctable,
-        ),
-        (
-            "sharded",
-            decoupled_multirelation(if smoke { 3 } else { 4 }, &shard),
-            shard,
-        ),
-    ];
     let mut cells = Vec::new();
-    for (label, db, params) in families {
-        let member = member_instance(&db, &params);
-        let non_member = non_member_instance(&db, &params);
-        let mut pattern = Instance::new();
-        for (name, rel) in member.iter() {
-            let mut p = pw_relational::Relation::empty(rel.arity());
-            for fact in rel.iter().take(2) {
-                p.insert(fact.clone()).expect("arity preserved");
-            }
-            pattern.insert_relation(name.clone(), p);
-        }
-        let view = View::identity(db);
-        cells.push(Cell {
-            problem: "membership",
-            workload: label,
-            requests: vec![
-                DecisionRequest::Membership {
+    for w in serving_workloads(smoke, 2077) {
+        let view = View::identity(w.db);
+        let workload = w.label;
+        let requests = [
+            (
+                "membership",
+                vec![
+                    DecisionRequest::Membership {
+                        view: view.clone(),
+                        instance: w.member.clone(),
+                    },
+                    DecisionRequest::Membership {
+                        view: view.clone(),
+                        instance: w.non_member,
+                    },
+                ],
+            ),
+            (
+                "possibility",
+                vec![DecisionRequest::Possibility {
                     view: view.clone(),
-                    instance: member.clone(),
-                },
-                DecisionRequest::Membership {
+                    facts: w.pattern.clone(),
+                }],
+            ),
+            (
+                "certainty",
+                vec![
+                    DecisionRequest::Certainty {
+                        view: view.clone(),
+                        facts: Instance::new(),
+                    },
+                    DecisionRequest::Certainty {
+                        view: view.clone(),
+                        facts: w.pattern,
+                    },
+                ],
+            ),
+            (
+                "uniqueness",
+                vec![DecisionRequest::Uniqueness {
                     view: view.clone(),
-                    instance: non_member,
-                },
-            ],
-        });
-        cells.push(Cell {
-            problem: "possibility",
-            workload: label,
-            requests: vec![DecisionRequest::Possibility {
-                view: view.clone(),
-                facts: pattern.clone(),
-            }],
-        });
-        cells.push(Cell {
-            problem: "certainty",
-            workload: label,
-            requests: vec![
-                DecisionRequest::Certainty {
-                    view: view.clone(),
-                    facts: Instance::new(),
-                },
-                DecisionRequest::Certainty {
-                    view: view.clone(),
-                    facts: pattern,
-                },
-            ],
-        });
-        cells.push(Cell {
-            problem: "uniqueness",
-            workload: label,
-            requests: vec![DecisionRequest::Uniqueness {
-                view: view.clone(),
-                instance: member,
-            }],
-        });
-        cells.push(Cell {
-            problem: "containment",
-            workload: label,
-            requests: vec![DecisionRequest::Containment {
-                left: view.clone(),
-                right: view,
-            }],
-        });
+                    instance: w.member,
+                }],
+            ),
+            (
+                "containment",
+                vec![DecisionRequest::Containment {
+                    left: view.clone(),
+                    right: view,
+                }],
+            ),
+        ];
+        cells.extend(requests.map(|(problem, requests)| Cell {
+            problem,
+            workload,
+            requests,
+        }));
     }
     cells
 }
@@ -226,128 +155,10 @@ struct PairResult {
     answers_match: bool,
 }
 
-/// Time one batch `iters` times and return (mean ms per batch, last outcomes).
-fn time_batch(
-    requests: &[DecisionRequest],
-    cfg: &EngineConfig,
-    iters: usize,
-) -> (f64, Vec<DecisionOutcome>) {
-    let start = Instant::now();
-    let mut last = Vec::new();
-    for _ in 0..iters {
-        last = decide_all_with(requests, cfg);
+impl PairResult {
+    fn speedup(&self) -> f64 {
+        self.static_ms / self.stealing_ms.max(1e-6)
     }
-    (start.elapsed().as_secs_f64() * 1e3 / iters as f64, last)
-}
-
-fn run_pair(cell: &Cell, cfg: &EngineConfig, max_iters: usize) -> PairResult {
-    let static_cfg = cfg.clone().without_work_stealing();
-    // Calibrate the repeat count off one static batch: micro-second batches repeat up
-    // to `max_iters` times for a stable mean, while a skewed batch that already costs
-    // hundreds of milliseconds is its own stable measurement and runs once or twice.
-    let calibration = Instant::now();
-    decide_all_with(&cell.requests, &static_cfg);
-    let batch_ms = calibration.elapsed().as_secs_f64() * 1e3;
-    let max_iters = max_iters.max(1);
-    let iters = ((20.0 / batch_ms.max(1e-6)) as usize).clamp(1, max_iters);
-    let (static_ms, static_out) = time_batch(&cell.requests, &static_cfg, iters);
-    let (stealing_ms, stealing_out) = time_batch(&cell.requests, cfg, iters);
-
-    let answers_match = static_out.len() == stealing_out.len()
-        && static_out
-            .iter()
-            .zip(&stealing_out)
-            .all(|(s, d)| s.answer == d.answer && s.strategy == d.strategy);
-    PairResult {
-        static_ms,
-        stealing_ms,
-        stealing_answers: stealing_out,
-        answers_match,
-    }
-}
-
-fn render_answers(outcomes: &[DecisionOutcome]) -> Vec<String> {
-    let (mut t, mut f, mut x) = (0usize, 0usize, 0usize);
-    for o in outcomes {
-        match o.answer {
-            Ok(true) => t += 1,
-            Ok(false) => f += 1,
-            Err(_) => x += 1,
-        }
-    }
-    vec![format!("true:{t}, false:{f}, exhausted:{x}")]
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn render_json(
-    measurements: &[Measurement],
-    guard: &[GuardRow],
-    threads: usize,
-    iters: usize,
-    smoke: bool,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"BENCH_PR8\",\n");
-    out.push_str("  \"description\": \"work-stealing scheduler vs the static frontier split: on skewed single-group trees the schedules' critical paths (busiest worker's on-CPU time = achievable wall clock at one core per worker) must show re-splitting recovering parallelism, balanced families must hold wall-clock parity, answers and strategies audited bit-identical (see crates/bench/src/bin/bench_pr8.rs)\",\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"iterations\": {iters},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let answers: Vec<String> = m
-            .answers
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"mode\": \"{}\", \"wall_ms\": {:.3}, \"answers\": [{}]}}{}\n",
-            m.problem,
-            m.workload,
-            m.mode,
-            m.wall_ms,
-            answers.join(", "),
-            if i + 1 == measurements.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    // The CI guard table: static/stealing speedup ≥ floor per row, and the stealing
-    // run's answers and strategies were audited bit-identical to the static run's.
-    out.push_str("  \"stealing_guard\": [\n");
-    for (i, r) in guard.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"metric\": \"{}\", \"static_ms\": {:.3}, \"stealing_ms\": {:.3}, \"speedup\": {:.2}, \"floor\": {}, \"answers_match\": {}}}{}\n",
-            r.problem,
-            r.workload,
-            r.metric,
-            r.static_ms,
-            r.stealing_ms,
-            r.static_ms / r.stealing_ms.max(1e-6),
-            r.floor,
-            r.answers_match,
-            if i + 1 == guard.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    // The standard committed-report table (`check-bench` floor 0.9): the static split
-    // is the embedded baseline, the stealing scheduler is the current engine.
-    out.push_str("  \"speedup_vs_baseline\": [\n");
-    for (i, r) in guard.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"problem\": \"{}\", \"workload\": \"{}\", \"mode\": \"stealing\", \"baseline_ms\": {:.3}, \"current_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            r.problem,
-            r.workload,
-            r.static_ms,
-            r.stealing_ms,
-            r.static_ms / r.stealing_ms.max(1e-6),
-            if i + 1 == guard.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// One direct (non-batched) skewed decide on a fresh engine, returning the schedule's
@@ -406,21 +217,13 @@ fn print_stats(params: &SkewedParams, cfg: &EngineConfig) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR8.json".to_owned());
-    let sweeps: usize = flag_value("--sweeps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 1 } else { 3 })
-        .max(1);
+    let args = Args::parse("BENCH_PR8.json");
+    let smoke = args.smoke;
+    let sweeps = args.sweeps(if smoke { 1 } else { 3 });
     let iters = if smoke { 2 } else { 20 };
     let threads = 8;
     let cfg = EngineConfig::with_threads(threads, Budget(4_000_000_000));
+    let static_cfg = cfg.clone().without_work_stealing();
     // Smoke trees are tiny (nothing worth stealing) and CI machines are noisy, so the
     // smoke floors only catch catastrophic collapse; the committed run carries the
     // real 4× skew acceptance and the 0.9× parity floor.
@@ -439,12 +242,13 @@ fn main() {
     // `--stats-only`: print the scheduler counters for one live skewed decide at the
     // selected scale and exit — the calibration/diagnosis entry point.  `--threads N`
     // and `--static` vary the probed configuration.
-    if args.iter().any(|a| a == "--stats-only") {
-        let threads: usize = flag_value("--threads")
+    if args.has("--stats-only") {
+        let threads: usize = args
+            .value("--threads")
             .and_then(|v| v.parse().ok())
             .unwrap_or(threads);
         let mut cfg = EngineConfig::with_threads(threads, Budget(4_000_000_000));
-        if args.iter().any(|a| a == "--static") {
+        if args.has("--static") {
             cfg = cfg.without_work_stealing();
         }
         let start = Instant::now();
@@ -453,19 +257,25 @@ fn main() {
         return;
     }
 
-    let skewed = skewed_cells(&skew_params);
-    let parity = parity_cells(smoke);
-
-    let mut measurements: Vec<Measurement> = Vec::new();
-    let mut guard: Vec<GuardRow> = Vec::new();
-
-    let run_cell = |cell: &Cell| -> PairResult {
-        // Median speedup across the sweeps: a single descheduled sample must not
-        // decide the committed number in either direction — but an answer mismatch
-        // in *any* sweep always dominates.
-        let mut results: Vec<PairResult> = (0..sweeps)
+    let mut rows: Vec<Row> = Vec::new();
+    // (problem, workload, metric, static ms, stealing ms, floor, answers match).  The
+    // metric says what the two times measure: `critical_path` is the busiest worker's
+    // on-CPU time (`EngineStats::busy_max_ns`), the wall clock the schedule achieves
+    // with a free core per worker; `wall` is the measured wall clock.
+    let mut guard: Vec<(&str, &str, &str, f64, f64, f64, bool)> = Vec::new();
+    let mut run_cell = |cell: &Cell| -> PairResult {
+        // Median speedup across the sweeps — but an answer mismatch in *any* sweep
+        // always dominates.
+        let results: Vec<PairResult> = (0..sweeps)
             .map(|sweep| {
-                let r = run_pair(cell, &cfg, iters);
+                let [(static_ms, static_out), (stealing_ms, stealing_out)] =
+                    time_pair(&cell.requests, &static_cfg, &cfg, 1, iters);
+                let r = PairResult {
+                    static_ms,
+                    stealing_ms,
+                    answers_match: same_verdicts(&static_out, &stealing_out),
+                    stealing_answers: stealing_out,
+                };
                 eprintln!(
                     "sweep {}/{sweeps}: {:<12} {:<13} static {:>9.3} ms  stealing {:>9.3} ms  ({:.2}x, answers_match: {})",
                     sweep + 1,
@@ -473,20 +283,30 @@ fn main() {
                     cell.workload,
                     r.static_ms,
                     r.stealing_ms,
-                    r.static_ms / r.stealing_ms.max(1e-6),
+                    r.speedup(),
                     r.answers_match,
                 );
                 r
             })
             .collect();
         let all_match = results.iter().all(|r| r.answers_match);
-        results.sort_by(|a, b| {
-            let sa = a.static_ms / a.stealing_ms.max(1e-6);
-            let sb = b.static_ms / b.stealing_ms.max(1e-6);
-            sa.total_cmp(&sb)
-        });
-        let mut r = results.swap_remove(results.len() / 2);
+        let mut r = median_by(results, PairResult::speedup);
         r.answers_match = all_match;
+        let answers = Tally::of(&r.stealing_answers).summary();
+        rows.push(Row::new(
+            cell.problem,
+            cell.workload,
+            "static",
+            r.static_ms,
+            answers.clone(),
+        ));
+        rows.push(Row::new(
+            cell.problem,
+            cell.workload,
+            "stealing",
+            r.stealing_ms,
+            answers,
+        ));
         r
     };
 
@@ -496,24 +316,9 @@ fn main() {
     // critical paths — on a host with a free core per worker the critical path *is*
     // the wall clock, and it is measurable honestly even where this harness runs on
     // fewer cores.
-    for cell in &skewed {
+    for cell in &skewed_cells(&skew_params) {
         let r = run_cell(cell);
-        measurements.push(Measurement {
-            problem: cell.problem,
-            workload: cell.workload,
-            mode: "static",
-            wall_ms: r.static_ms,
-            answers: render_answers(&r.stealing_answers),
-        });
-        measurements.push(Measurement {
-            problem: cell.problem,
-            workload: cell.workload,
-            mode: "stealing",
-            wall_ms: r.stealing_ms,
-            answers: render_answers(&r.stealing_answers),
-        });
         if cell.workload == "skewed" {
-            let static_cfg = cfg.clone().without_work_stealing();
             let (static_cp, a0, s0, _) = skew_decide(cell.problem, &skew_params, &static_cfg);
             let (stealing_cp, a1, s1, _) = skew_decide(cell.problem, &skew_params, &cfg);
             eprintln!(
@@ -524,25 +329,26 @@ fn main() {
                 stealing_cp,
                 static_cp / stealing_cp.max(1e-6),
             );
-            guard.push(GuardRow {
-                problem: cell.problem,
-                workload: cell.workload,
-                static_ms: static_cp,
-                stealing_ms: stealing_cp,
-                metric: "critical_path",
-                floor: skew_floor,
-                answers_match: r.answers_match && a0 == a1 && s0 == s1,
-            });
+            let matched = r.answers_match && a0 == a1 && s0 == s1;
+            guard.push((
+                cell.problem,
+                cell.workload,
+                "critical_path",
+                static_cp,
+                stealing_cp,
+                skew_floor,
+                matched,
+            ));
         } else {
-            guard.push(GuardRow {
-                problem: cell.problem,
-                workload: cell.workload,
-                static_ms: r.static_ms,
-                stealing_ms: r.stealing_ms,
-                metric: "wall",
-                floor: parity_floor,
-                answers_match: r.answers_match,
-            });
+            guard.push((
+                cell.problem,
+                cell.workload,
+                "wall",
+                r.static_ms,
+                r.stealing_ms,
+                parity_floor,
+                r.answers_match,
+            ));
         }
     }
 
@@ -550,22 +356,8 @@ fn main() {
     // aggregates each workload family across all five problems — a micro-second
     // polynomial decide has a noisy individual ratio, the family sum is stable.
     let mut family_sums: Vec<(&'static str, f64, f64, bool)> = Vec::new();
-    for cell in &parity {
+    for cell in &parity_cells(smoke) {
         let r = run_cell(cell);
-        measurements.push(Measurement {
-            problem: cell.problem,
-            workload: cell.workload,
-            mode: "static",
-            wall_ms: r.static_ms,
-            answers: render_answers(&r.stealing_answers),
-        });
-        measurements.push(Measurement {
-            problem: cell.problem,
-            workload: cell.workload,
-            mode: "stealing",
-            wall_ms: r.stealing_ms,
-            answers: render_answers(&r.stealing_answers),
-        });
         match family_sums.iter_mut().find(|(l, ..)| *l == cell.workload) {
             Some((_, s, d, m)) => {
                 *s += r.static_ms;
@@ -575,23 +367,56 @@ fn main() {
             None => family_sums.push((cell.workload, r.static_ms, r.stealing_ms, r.answers_match)),
         }
     }
-    for (label, static_ms, stealing_ms, answers_match) in family_sums {
-        guard.push(GuardRow {
-            problem: "all",
-            workload: label,
+    for (label, static_ms, stealing_ms, matched) in family_sums {
+        guard.push((
+            "all",
+            label,
+            "wall",
             static_ms,
             stealing_ms,
-            metric: "wall",
-            floor: parity_floor,
-            answers_match,
-        });
+            parity_floor,
+            matched,
+        ));
     }
 
     if smoke {
         print_stats(&skew_params, &cfg);
     }
 
-    let json = render_json(&measurements, &guard, threads, iters, smoke);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    // The guard: static/stealing speedup ≥ floor per row, answers and strategies
+    // bit-identical; the static split is the speedup table's baseline.
+    let speedups = guard
+        .iter()
+        .map(|&(problem, workload, _, static_ms, stealing_ms, ..)| {
+            speedup_row(problem, workload, "stealing", static_ms, stealing_ms)
+        })
+        .collect();
+    let guard = guard
+        .into_iter()
+        .map(
+            |(problem, workload, metric, static_ms, stealing_ms, floor, matched)| {
+                object([
+                    ("problem", Json::str(problem)),
+                    ("workload", Json::str(workload)),
+                    ("metric", Json::str(metric)),
+                    ("static_ms", ms(static_ms)),
+                    ("stealing_ms", ms(stealing_ms)),
+                    ("speedup", ratio(static_ms / stealing_ms.max(1e-6))),
+                    ("floor", Json::Float(floor)),
+                    ("answers_match", Json::Bool(matched)),
+                ])
+            },
+        )
+        .collect();
+    Report::new(
+        "BENCH_PR8",
+        "work-stealing scheduler vs the static frontier split: on skewed single-group trees the schedules' critical paths (busiest worker's on-CPU time = achievable wall clock at one core per worker) must show re-splitting recovering parallelism, balanced families must hold wall-clock parity, answers and strategies audited bit-identical (see crates/bench/src/bin/bench_pr8.rs)",
+        threads,
+        iters,
+        smoke,
+        rows,
+    )
+    .table("stealing_guard", guard)
+    .table("speedup_vs_baseline", speedups)
+    .write(&args.out);
 }

@@ -19,7 +19,7 @@
 //! consecutive outcomes (same positions, same old/new answers, same strategies), and
 //! every standing verdict must match after every delta.  The report records
 //! `answers_match` per row, and the `stream_guard` table (consumed by
-//! `tools/check_bench.rs` in CI) enforces both the match and a per-row speedup floor.
+//! `check-bench` in CI) enforces both the match and a per-row speedup floor.
 //! Larger push-only rows extend the deltas/s sweep beyond what the replay baseline
 //! can cover in CI time; they carry no guard row.
 //!
@@ -30,34 +30,13 @@
 //! harness and the JSON shape in seconds (the smoke floor only asserts "not slower
 //! than replay"; the committed full run carries the real ≥10× floor).
 
+use pw_bench::report::{ms, object, ratio, rounded, speedup_row, Args, Report, Row, Tally};
 use pw_core::{CDatabase, View};
 use pw_decide::batch::DecisionRequest;
 use pw_decide::{Budget, DecisionOutcome, EngineConfig, Session};
+use pw_serve::json::Json;
 use pw_workloads::{flip_heavy_stream, flip_sparse_stream, StreamProblem, StreamWorkload};
 use std::time::Instant;
-
-/// One measured row of the report.
-struct Measurement {
-    workload: String,
-    mode: &'static str,
-    /// Total wall time across the stream's deltas (baselines untimed).
-    wall_ms: f64,
-    deltas: usize,
-    /// Verdict flips observed down the stream.
-    flips: usize,
-    /// Final standing answers, e.g. `"true:46, false:2"`.
-    answers: Vec<String>,
-}
-
-/// One stream-guard row: the push/replay pair plus the CI floor.
-struct GuardRow {
-    workload: String,
-    push_ms: f64,
-    redecide_ms: f64,
-    flips: usize,
-    floor: f64,
-    answers_match: bool,
-}
 
 /// Bind a workload's request specs to identity views of `db`.
 fn bind_requests(w: &StreamWorkload, db: &CDatabase) -> Vec<DecisionRequest> {
@@ -193,99 +172,7 @@ fn final_answers(w: &StreamWorkload, cfg: &EngineConfig) -> Vec<String> {
         cur = cur.apply(delta).expect("stream deltas apply").0;
     }
     let outcomes = pw_decide::batch::decide_all_with(&bind_requests(w, &cur), cfg);
-    let (mut yes, mut no, mut err) = (0usize, 0usize, 0usize);
-    for o in &outcomes {
-        match o.answer {
-            Ok(true) => yes += 1,
-            Ok(false) => no += 1,
-            Err(_) => err += 1,
-        }
-    }
-    let mut out = Vec::new();
-    if yes > 0 {
-        out.push(format!("true:{yes}"));
-    }
-    if no > 0 {
-        out.push(format!("false:{no}"));
-    }
-    if err > 0 {
-        out.push(format!("budget:{err}"));
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn render_json(
-    measurements: &[Measurement],
-    guard: &[GuardRow],
-    iters: usize,
-    smoke: bool,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"BENCH_PR10\",\n");
-    out.push_str("  \"description\": \"standing queries over delta streams: push_delta subscription index vs replay-everything redecide_all (see crates/bench/src/bin/bench_stream.rs)\",\n");
-    out.push_str("  \"threads\": 1,\n");
-    out.push_str(&format!("  \"iterations\": {iters},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let answers: Vec<String> = m
-            .answers
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
-            .collect();
-        let per_delta_ms = m.wall_ms / m.deltas.max(1) as f64;
-        let deltas_per_sec = m.deltas as f64 / (m.wall_ms / 1e3).max(1e-9);
-        out.push_str(&format!(
-            "    {{\"problem\": \"standing\", \"workload\": \"{}\", \"mode\": \"{}\", \"wall_ms\": {:.3}, \"deltas\": {}, \"flips\": {}, \"per_delta_ms\": {:.4}, \"deltas_per_sec\": {:.1}, \"answers\": [{}]}}{}\n",
-            json_escape(&m.workload),
-            m.mode,
-            m.wall_ms,
-            m.deltas,
-            m.flips,
-            per_delta_ms,
-            deltas_per_sec,
-            answers.join(", "),
-            if i + 1 == measurements.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    // The CI guard table: flips and verdicts must match the replay baseline bit for
-    // bit, and each row's redecide/push speedup must clear its embedded floor.
-    out.push_str("  \"stream_guard\": [\n");
-    for (i, g) in guard.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"problem\": \"standing\", \"workload\": \"{}\", \"push_ms\": {:.3}, \"redecide_ms\": {:.3}, \"flips\": {}, \"speedup\": {:.2}, \"floor\": {}, \"answers_match\": {}}}{}\n",
-            json_escape(&g.workload),
-            g.push_ms,
-            g.redecide_ms,
-            g.flips,
-            g.redecide_ms / g.push_ms.max(1e-6),
-            g.floor,
-            g.answers_match,
-            if i + 1 == guard.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    // The standard committed-report table (`check-bench` floor 0.9): the replay
-    // baseline is this report's embedded baseline, the push path the current mode.
-    out.push_str("  \"speedup_vs_baseline\": [\n");
-    for (i, g) in guard.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"problem\": \"standing\", \"workload\": \"{}\", \"mode\": \"push\", \"baseline_ms\": {:.3}, \"current_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            json_escape(&g.workload),
-            g.redecide_ms,
-            g.push_ms,
-            g.redecide_ms / g.push_ms.max(1e-6),
-            if i + 1 == guard.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Tally::of(&outcomes).nonzero()
 }
 
 /// One workload spec: builder, sizes, and whether the replay baseline runs (guarded
@@ -312,18 +199,9 @@ fn build(spec: &Spec) -> StreamWorkload {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR10.json".to_owned());
-    let sweeps: usize = flag_value("--sweeps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+    let args = Args::parse("BENCH_PR10.json");
+    let smoke = args.smoke;
+    let sweeps = args.sweeps(1);
     // Single-threaded sessions: the comparison is about *requests skipped*, not about
     // parallel speedup, and sequential timings are the stable ones.
     let cfg = EngineConfig::sequential(Budget(20_000_000));
@@ -386,8 +264,9 @@ fn main() {
         ]
     };
 
-    let mut measurements: Vec<Measurement> = Vec::new();
-    let mut guard: Vec<GuardRow> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
+    let mut guard: Vec<Json> = Vec::new();
+    let mut speedups: Vec<Json> = Vec::new();
     for spec in &specs {
         let w = build(spec);
         let answers = final_answers(&w, &cfg);
@@ -396,8 +275,8 @@ fn main() {
         let mut best: Option<(f64, f64, usize, bool)> = None;
         for sweep in 0..sweeps {
             let (redecide_ms, oracle) = if spec.guarded {
-                let (ms, oracle) = run_redecide(&w, &cfg);
-                (ms, Some(oracle))
+                let (wall_ms, oracle) = run_redecide(&w, &cfg);
+                (wall_ms, Some(oracle))
             } else {
                 (0.0, None)
             };
@@ -425,35 +304,59 @@ fn main() {
             }
         }
         let (push_ms, redecide_ms, flips, answers_match) = best.expect("at least one sweep");
-        measurements.push(Measurement {
-            workload: w.label.clone(),
-            mode: "push",
-            wall_ms: push_ms,
-            deltas: w.deltas.len(),
-            flips,
-            answers: answers.clone(),
-        });
+        let deltas = w.deltas.len();
+        let modes: &[(&str, f64)] = if spec.guarded {
+            &[("push", push_ms), ("redecide", redecide_ms)]
+        } else {
+            &[("push", push_ms)]
+        };
+        for &(mode, wall_ms) in modes {
+            rows.push(Row {
+                extra: vec![
+                    ("deltas", Json::Int(deltas as i64)),
+                    ("flips", Json::Int(flips as i64)),
+                    ("per_delta_ms", rounded(wall_ms / deltas.max(1) as f64, 4)),
+                    (
+                        "deltas_per_sec",
+                        rounded(deltas as f64 / (wall_ms / 1e3).max(1e-9), 1),
+                    ),
+                ],
+                ..Row::new("standing", &w.label, mode, wall_ms, answers.clone())
+            });
+        }
         if spec.guarded {
-            measurements.push(Measurement {
-                workload: w.label.clone(),
-                mode: "redecide",
-                wall_ms: redecide_ms,
-                deltas: w.deltas.len(),
-                flips,
-                answers,
-            });
-            guard.push(GuardRow {
-                workload: w.label.clone(),
-                push_ms,
+            // The guard: flips and verdicts must match the replay baseline bit for
+            // bit, and the redecide/push speedup must clear the embedded floor.
+            guard.push(object([
+                ("problem", Json::str("standing")),
+                ("workload", Json::str(&w.label)),
+                ("push_ms", ms(push_ms)),
+                ("redecide_ms", ms(redecide_ms)),
+                ("flips", Json::Int(flips as i64)),
+                ("speedup", ratio(redecide_ms / push_ms.max(1e-6))),
+                ("floor", Json::Float(if smoke { 0.9 } else { spec.floor })),
+                ("answers_match", Json::Bool(answers_match)),
+            ]));
+            // The replay baseline is this report's embedded baseline.
+            speedups.push(speedup_row(
+                "standing",
+                &w.label,
+                "push",
                 redecide_ms,
-                flips,
-                floor: if smoke { 0.9 } else { spec.floor },
-                answers_match,
-            });
+                push_ms,
+            ));
         }
     }
 
-    let json = render_json(&measurements, &guard, sweeps, smoke);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    Report::new(
+        "BENCH_PR10",
+        "standing queries over delta streams: push_delta subscription index vs replay-everything redecide_all (see crates/bench/src/bin/bench_stream.rs)",
+        1,
+        sweeps,
+        smoke,
+        rows,
+    )
+    .table("stream_guard", guard)
+    .table("speedup_vs_baseline", speedups)
+    .write(&args.out);
 }

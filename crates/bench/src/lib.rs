@@ -6,6 +6,13 @@
 //! and the reduction-generated (hard) families of `pw-reductions` for the NP / coNP / Π₂ᵖ
 //! cells.  This library provides the timing sweep and growth-classification helpers shared
 //! by the Criterion benches and the `fig2-matrix` / `experiments` binaries.
+//!
+//! The library bench suites (`bench-pr2` … `bench-pr8`, `bench-stream`) and their CI
+//! guard `check-bench` share two modules: [`report`] owns the report format and the
+//! guard bounds, [`suite`] the serving-shaped workloads and the batch timers.
+
+pub mod report;
+pub mod suite;
 
 use std::time::{Duration, Instant};
 

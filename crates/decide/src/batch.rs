@@ -226,10 +226,9 @@ struct StandingEntry {
     id: u64,
     /// The request as registered (views bound to the registration-time database).
     request: DecisionRequest,
-    /// Does the request's view (or containment left) track the standing database?
-    rebind_left: bool,
-    /// Does the containment right-hand view track the standing database?
-    rebind_right: bool,
+    /// Whether the request's view (a containment's left view) and a containment's
+    /// right view track the standing database, indexed by `is_right`.
+    tracks: [bool; 2],
     last: Decision,
 }
 
@@ -239,7 +238,7 @@ struct StandingEntry {
 #[derive(Debug)]
 struct StandingSet {
     db: CDatabase,
-    next_id: u64,
+    /// Entry `i` has id `i + 1`; entries are never removed.
     entries: Vec<StandingEntry>,
     /// Table position → indices of the [`Deps::Tables`] entries that mention it.
     by_table: Vec<Vec<usize>>,
@@ -370,9 +369,10 @@ impl Session {
     ) -> Result<Redecision, DeltaError> {
         let (db, change) = prev.apply(delta)?;
         self.engine.retire_delta(prev, &db, &change);
+        // A view tracks the database when it was phrased against `prev`.
         let rebound: Vec<DecisionRequest> = requests
             .iter()
-            .map(|r| rebind_request(r, prev, &db))
+            .map(|r| rebind_views(r, &db, |view, _| view.db == *prev))
             .collect();
         let outcomes = self.replay_all(&rebound);
         Ok(Redecision {
@@ -408,7 +408,6 @@ impl Session {
     ) -> (Vec<u64>, Vec<DecisionOutcome>) {
         let set = self.standing.get_or_insert_with(|| StandingSet {
             db: db.clone(),
-            next_id: 1,
             entries: Vec::new(),
             by_table: vec![Vec::new(); db.table_count()],
             everywhere: Vec::new(),
@@ -424,19 +423,17 @@ impl Session {
                 | DecisionRequest::Possibility { view, .. }
                 | DecisionRequest::Certainty { view, .. } => (view, None),
             };
-            let rebind_left = left_view.db == *db;
-            let rebind_right = right_view.is_some_and(|v| v.db == *db);
-            flags.push((rebind_left, rebind_right));
-            bound.push(rebind_standing(request, rebind_left, rebind_right, &set.db));
+            let tracks = [left_view.db == *db, right_view.is_some_and(|v| v.db == *db)];
+            flags.push(tracks);
+            bound.push(rebind_views(request, &set.db, |_, right| {
+                tracks[usize::from(right)]
+            }));
         }
         let baselines = run_pinned(&bound, &self.engine, self.workers);
-        for ((request, &(rebind_left, rebind_right)), last) in
-            requests.iter().zip(&flags).zip(&baselines)
-        {
-            let id = set.next_id;
-            set.next_id += 1;
-            ids.push(id);
+        for ((request, &tracks), last) in requests.iter().zip(&flags).zip(&baselines) {
             let index = set.entries.len();
+            let id = index as u64 + 1;
+            ids.push(id);
             match deps_of(request, db) {
                 Deps::AllGroups => set.everywhere.push(index),
                 Deps::Tables(positions) => {
@@ -448,8 +445,7 @@ impl Session {
             set.entries.push(StandingEntry {
                 id,
                 request: request.clone(),
-                rebind_left,
-                rebind_right,
+                tracks,
                 last: last.clone(),
             });
         }
@@ -507,8 +503,12 @@ impl Session {
         let rebound: Vec<DecisionRequest> = affected
             .iter()
             .map(|&i| {
+                // Unconditional: an entry skipped across several deltas is still bound
+                // to an older version and must jump straight to the current one.
                 let entry = &set.entries[i];
-                rebind_standing(&entry.request, entry.rebind_left, entry.rebind_right, &db)
+                rebind_views(&entry.request, &db, |_, right| {
+                    entry.tracks[usize::from(right)]
+                })
             })
             .collect();
         let outcomes = run_pinned(&rebound, &self.engine, self.workers);
@@ -548,12 +548,10 @@ impl Session {
 
     /// The current verdict of standing request `id`, if registered.
     pub fn standing_outcome(&self, id: u64) -> Option<&DecisionOutcome> {
-        self.standing
-            .as_ref()?
-            .entries
-            .iter()
-            .find(|entry| entry.id == id)
-            .map(|entry| &entry.last)
+        // Ids are dense from 1 and entries are never removed: id `n` sits at `n - 1`.
+        let index = usize::try_from(id.checked_sub(1)?).ok()?;
+        let entry = self.standing.as_ref()?.entries.get(index)?;
+        (entry.id == id).then_some(&entry.last)
     }
 }
 
@@ -581,47 +579,6 @@ fn deps_of(request: &DecisionRequest, db: &CDatabase) -> Deps {
     Deps::Tables(positions)
 }
 
-/// Rebind the views flagged as tracking the standing database to `db`,
-/// unconditionally.  Unlike [`rebind_request`] this does not compare against the
-/// previous database value: an entry skipped across several deltas is still bound to
-/// an older version, and must jump straight to the current one.
-fn rebind_standing(
-    request: &DecisionRequest,
-    rebind_left: bool,
-    rebind_right: bool,
-    db: &CDatabase,
-) -> DecisionRequest {
-    let rebind = |view: &View, flag: bool| -> View {
-        if flag {
-            View::new(view.query.clone(), db.clone())
-        } else {
-            view.clone()
-        }
-    };
-    match request {
-        DecisionRequest::Membership { view, instance } => DecisionRequest::Membership {
-            view: rebind(view, rebind_left),
-            instance: instance.clone(),
-        },
-        DecisionRequest::Uniqueness { view, instance } => DecisionRequest::Uniqueness {
-            view: rebind(view, rebind_left),
-            instance: instance.clone(),
-        },
-        DecisionRequest::Containment { left, right } => DecisionRequest::Containment {
-            left: rebind(left, rebind_left),
-            right: rebind(right, rebind_right),
-        },
-        DecisionRequest::Possibility { view, facts } => DecisionRequest::Possibility {
-            view: rebind(view, rebind_left),
-            facts: facts.clone(),
-        },
-        DecisionRequest::Certainty { view, facts } => DecisionRequest::Certainty {
-            view: rebind(view, rebind_left),
-            facts: facts.clone(),
-        },
-    }
-}
-
 /// Convenience one-shot [`Session::redecide_all`] with all cores and the default
 /// [`Budget`].  A fresh session has an empty memo, so this pays a from-scratch decide;
 /// the incremental win comes from keeping one [`Session`] across the decide/re-decide
@@ -635,39 +592,39 @@ pub fn redecide_all(
         .redecide_all(prev, delta, requests)
 }
 
-/// Re-point a request's view(s) from `prev` to `next`; views over other databases are
-/// left alone.
-fn rebind_request(
+/// Re-point the views of `request` for which `tracks(view, is_right)` holds to `db`;
+/// `is_right` marks a containment's right-hand view.  Other views are left alone.
+fn rebind_views(
     request: &DecisionRequest,
-    prev: &CDatabase,
-    next: &CDatabase,
+    db: &CDatabase,
+    tracks: impl Fn(&View, bool) -> bool,
 ) -> DecisionRequest {
-    let rebind = |view: &View| -> View {
-        if view.db == *prev {
-            View::new(view.query.clone(), next.clone())
+    let rebind = |view: &View, right: bool| -> View {
+        if tracks(view, right) {
+            View::new(view.query.clone(), db.clone())
         } else {
             view.clone()
         }
     };
     match request {
         DecisionRequest::Membership { view, instance } => DecisionRequest::Membership {
-            view: rebind(view),
+            view: rebind(view, false),
             instance: instance.clone(),
         },
         DecisionRequest::Uniqueness { view, instance } => DecisionRequest::Uniqueness {
-            view: rebind(view),
+            view: rebind(view, false),
             instance: instance.clone(),
         },
         DecisionRequest::Containment { left, right } => DecisionRequest::Containment {
-            left: rebind(left),
-            right: rebind(right),
+            left: rebind(left, false),
+            right: rebind(right, true),
         },
         DecisionRequest::Possibility { view, facts } => DecisionRequest::Possibility {
-            view: rebind(view),
+            view: rebind(view, false),
             facts: facts.clone(),
         },
         DecisionRequest::Certainty { view, facts } => DecisionRequest::Certainty {
-            view: rebind(view),
+            view: rebind(view, false),
             facts: facts.clone(),
         },
     }

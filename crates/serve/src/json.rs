@@ -80,6 +80,15 @@ impl Json {
         self.as_i64().and_then(|i| u64::try_from(i).ok())
     }
 
+    /// The number as an `f64`, if this is a [`Json::Int`] or a [`Json::Float`].
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Int(i) => Some(*i as f64),
+            Json::Float(x) => Some(*x),
+            _ => None,
+        }
+    }
+
     /// The string slice, if this is a [`Json::Str`].
     pub fn as_str(&self) -> Option<&str> {
         match self {

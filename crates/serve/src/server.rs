@@ -15,9 +15,11 @@
 //!
 //! Each registered c-database gets a `DbEntry`: its current [`CDatabase`] value, a
 //! long-lived [`Session`] (so repeated and incremental decisions hit the engine's
-//! caches), and the legacy *standing* requests `POST …/delta` replays.  Each delta is
-//! applied once: by `Session::push_delta` when the session holds a standing set, else
-//! by `Session::redecide_all`.  `op` is the per-database outer lock serializing
+//! caches), and the legacy *standing* requests `POST …/delta` replays.  Registration
+//! binds the session's standing set (empty until a subscription joins it), so every
+//! delta takes one path: `Session::push_delta` applies it once, and the legacy
+//! standing requests are decoded against the result and replayed through
+//! `Session::replay_all`.  `op` is the per-database outer lock serializing
 //! decide/delta/subscribe cycles; under it each inner lock (`registry`, `subscriptions`,
 //! `db`, `session`, `standing`, `window`) is held for one step and never while another
 //! is taken, except `routes → flip queue`.
@@ -104,6 +106,9 @@ impl Default for ServerConfig {
 struct DbEntry {
     /// Outer lock serializing decide/delta cycles on this database.
     op: Mutex<()>,
+    /// The published snapshot of the session's standing database, updated after each
+    /// applied delta.  Decoding a cross-database containment reads a peer's snapshot
+    /// here ([`db_of`]) without waiting on that database's `op` or session lock.
     db: Mutex<CDatabase>,
     session: Mutex<Session>,
     standing: Mutex<Vec<Json>>,
@@ -501,7 +506,10 @@ fn register(shared: &Shared, body: &Json) -> Reply {
         Budget(shared.config.budget),
     );
     cfg.certify = certify;
-    let session = Session::new(&cfg);
+    let mut session = Session::new(&cfg);
+    // An empty standing set binds the session to `db`, so every delta is applied by
+    // `push_delta`; subscriptions join the set later.
+    session.register_standing(&db, &[]);
     let tables = db.table_count();
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst) + 1;
     lock(&shared.registry).insert(
@@ -635,46 +643,27 @@ fn delta(shared: &Shared, id: u64, body: &Json) -> Reply {
         }
     };
 
-    // One apply per delta: with a standing set `push_delta` is the apply, and the
-    // legacy standing requests are decoded against its result and replayed on the
-    // same session; without one, `redecide_all` applies the delta and replays them.
-    let prev = lock(&entry.db).clone();
-    let subscribed = lock(&entry.session).standing_db().is_some();
-    let pushed = subscribed.then(|| lock(&entry.session).push_delta(&applied));
-    let update = match pushed.transpose() {
+    // One apply per delta: `push_delta` applies it, then the legacy standing requests
+    // are decoded against its result and replayed on the same session.
+    let pushed = lock(&entry.session).push_delta(&applied);
+    let update = match pushed {
         Ok(update) => update,
-        Err(e) => return bad_delta(&entry, &prev, &e),
+        Err(e) => {
+            let unchanged = lock(&entry.db).clone();
+            return bad_delta(&entry, &unchanged, &e);
+        }
     };
     // The pushed result is the live value before any standing request resolves it.
-    let current = update.as_ref().map_or(&prev, |u| &u.db);
-    *lock(&entry.db) = current.clone();
+    *lock(&entry.db) = update.db.clone();
     let standing_json = lock(&entry.standing).clone();
-    let standing = match decode_requests(shared, &standing_json, current) {
+    let standing = match decode_requests(shared, &standing_json, &update.db) {
         Ok(standing) => standing,
         Err(e) => return error_reply(500, "internal", &format!("standing {e}")),
     };
-    let (noop, outcomes) = match &update {
-        Some(u) => (
-            u.change.is_noop(),
-            lock(&entry.session).replay_all(&standing),
-        ),
-        None => {
-            let redecided = lock(&entry.session).redecide_all(&prev, &applied, &standing);
-            match redecided {
-                Ok(r) => {
-                    *lock(&entry.db) = r.db;
-                    (r.change.is_noop(), r.outcomes)
-                }
-                Err(e) => return bad_delta(&entry, &prev, &e),
-            }
-        }
-    };
+    let outcomes = lock(&entry.session).replay_all(&standing);
     entry.deltas_applied.fetch_add(1, Ordering::SeqCst);
 
-    let (flips, redecided, skipped) = match &update {
-        Some(u) => (u.flips.as_slice(), u.redecided, u.skipped),
-        None => (&[] as &[VerdictFlip], 0, 0),
-    };
+    let flips = update.flips.as_slice();
     let seq_base = entry
         .flips_emitted
         .fetch_add(flips.len() as u64, Ordering::SeqCst);
@@ -690,7 +679,7 @@ fn delta(shared: &Shared, id: u64, body: &Json) -> Reply {
         200,
         Json::Object(vec![
             ("schema_version".into(), Json::Int(wire::SCHEMA_VERSION)),
-            ("noop".into(), Json::Bool(noop)),
+            ("noop".into(), Json::Bool(update.change.is_noop())),
             ("buffered".into(), Json::Bool(false)),
             (
                 "outcomes".into(),
@@ -706,8 +695,8 @@ fn delta(shared: &Shared, id: u64, body: &Json) -> Reply {
                         .collect(),
                 ),
             ),
-            ("redecided".into(), Json::Int(redecided as i64)),
-            ("skipped".into(), Json::Int(skipped as i64)),
+            ("redecided".into(), Json::Int(update.redecided as i64)),
+            ("skipped".into(), Json::Int(update.skipped as i64)),
         ]),
     )
 }

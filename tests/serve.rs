@@ -244,6 +244,17 @@ fn wire_answers_are_bit_identical_to_the_library() {
         .expect("delta reachable");
     assert_eq!(response.status, 200, "delta: {}", response.body);
     let redecided = response.json().expect("delta body is JSON");
+    // No subscription: the delta still goes through the session's (empty) standing
+    // set, which re-decides and skips nothing.
+    assert_reply_fields(
+        &redecided,
+        &[
+            ("noop", Json::Bool(false)),
+            ("redecided", Json::Int(0)),
+            ("skipped", Json::Int(0)),
+        ],
+        "unsubscribed delta",
+    );
     let redecided = redecided
         .get("outcomes")
         .and_then(Json::as_array)
